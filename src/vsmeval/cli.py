@@ -12,7 +12,6 @@ import sys
 
 from . import __version__
 from .agreement import (
-    agreement_significance,
     apply_outlier_filter,
     cross_language_agreement,
     human_mean_scores,

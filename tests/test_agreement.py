@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.stats import rankdata
 
+from vsmeval import agreement
 from vsmeval.agreement import (
     EvaluationSet,
+    _column_ranks,
+    _columnwise_spearman,
     apply_outlier_filter,
     agreement_significance,
     cross_language_agreement,
@@ -121,6 +126,33 @@ class TestSubsets:
             enumerate_subsets(5, 0)
 
 
+class TestColumnRanks:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        m=st.integers(1, 600),
+        values=st.sampled_from(["sixths", "sevenths", "gaussian"]),
+        levels=st.integers(1, 61),
+        constant_share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_rankdata_exactly(self, n, m, values, levels,
+                                     constant_share, seed):
+        r = np.random.default_rng(seed)
+        if values == "gaussian":
+            x = r.normal(size=(n, m))
+        else:
+            # few levels on a 1/6 or 1/7 grid give tie-heavy columns
+            step = 6 if values == "sixths" else 7
+            x = r.integers(0, levels, size=(n, m)) / step
+        constant = r.random(m) < constant_share
+        x[:, constant] = x[0, constant]
+        ranks = _column_ranks(x)
+        expected = rankdata(x, axis=0)
+        assert ranks.dtype == expected.dtype
+        assert np.array_equal(ranks, expected)
+
+
 class TestWithinAgreement:
     def test_identical_annotators(self, rng):
         column = rng.uniform(0, 10, size=50)
@@ -172,6 +204,51 @@ class TestWithinAgreement:
         assert np.allclose(r1.samples, r2.samples, atol=1e-12)
 
 
+class TestDegenerateSamples:
+    def _half_constant(self, seed, language):
+        # annotators 0..6 give every pair the same score
+        scores = np.random.default_rng(seed).uniform(0, 10, size=(100, 13))
+        scores[:, :7] = 5.0
+        return make_evalset(scores, language=language)
+
+    def test_constant_column_is_nan(self, rng):
+        a = rng.uniform(0, 10, size=(20, 4))
+        b = rng.uniform(0, 10, size=(20, 4))
+        a[:, 1] = 3.0
+        b[:, 2] = 7.0
+        rho = _columnwise_spearman(a, b)
+        assert np.isnan(rho[[1, 2]]).all()
+        assert np.isfinite(rho[[0, 3]]).all()
+
+    def test_within_drops_and_counts_constant_sides(self):
+        report = within_language_agreement(self._half_constant(1, "en"))
+        # per batch, C(7, 6) = 7 subsets lie inside the constant annotators
+        assert report.degenerate_count == 2 * 7
+        assert report.sample_count == 2 * (1716 - 7)
+        assert np.isfinite(report.samples).all()
+
+    def test_cross_and_driver_count_constant_sides(self, monkeypatch):
+        constant = self._half_constant(1, "en")
+        varied = make_evalset(
+            np.random.default_rng(2).uniform(0, 10, size=(100, 13)),
+            language="de",
+        )
+        report = cross_language_agreement(constant, varied)
+        assert report.degenerate_count == 2 * 7
+        assert report.sample_count == 2 * (1716 - 7)
+        seen = {}
+        welch = agreement.agreement_significance
+
+        def spy(within, cross):
+            seen[within.label] = within.degenerate_count
+            seen[cross.label] = cross.degenerate_count
+            return welch(within, cross)
+
+        monkeypatch.setattr(agreement, "agreement_significance", spy)
+        significance_driver([constant, varied])
+        assert seen == {"within:en": 14, "within:de": 0, "cross:en-de": 14}
+
+
 class TestCrossAgreement:
     def test_self_comparison_is_one(self, rng):
         scores = rng.uniform(0, 10, size=(50, 13))
@@ -220,6 +297,28 @@ class TestSignificance:
         result = agreement_significance(within, cross)
         assert within.mean > cross.mean
         assert result.p_value < 0.001
+
+    def test_driver_reports_equal_standalone_reports(self, monkeypatch):
+        sets = synthetic_languages(2, n_langs=4, n_batches=2)
+        seen = {}
+        welch = agreement.agreement_significance
+
+        def spy(within, cross):
+            seen[within.label] = within
+            seen[cross.label] = cross
+            return welch(within, cross)
+
+        monkeypatch.setattr(agreement, "agreement_significance", spy)
+        significance_driver(sets)
+        standalone = [within_language_agreement(s) for s in sets] + [
+            cross_language_agreement(sets[i], sets[j])
+            for i in range(4) for j in range(i + 1, 4)
+        ]
+        assert len(seen) == len(standalone) == 10
+        for report in standalone:
+            inside = seen[report.label]
+            assert inside.samples.tobytes() == report.samples.tobytes()
+            assert inside.degenerate_count == report.degenerate_count
 
     def test_driver_emits_24_results(self):
         sets = synthetic_languages(1, n_langs=4, n_batches=1)
