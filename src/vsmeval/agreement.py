@@ -439,9 +439,7 @@ def quintile_agreement_analysis(
             inter = ((b1 == i) & (b2 == i)).sum(axis=0)
             f_sums[i] += (inter / sizes[i]).sum()
         count += n_subsets
-    return QuintileOverlap(
-        f_scores=tuple(f_sums / count), block_sizes=()
-    )
+    return QuintileOverlap(f_scores=tuple(f_sums / count))
 
 
 def human_mean_scores(evaluation_set: EvaluationSet) -> ScoreVector:

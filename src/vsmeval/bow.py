@@ -23,6 +23,7 @@ class CountMatrix:
     col_words: tuple[str, ...]
     counts: np.ndarray  # |rows| x k, nonnegative integers
     window: int
+    language: str = "und"
 
     @property
     def total(self) -> int:
@@ -62,7 +63,8 @@ def count_cooccurrences(
             mask = (right_r >= 0) & (left_c >= 0)
             np.add.at(counts, (right_r[mask], left_c[mask]), 1)
     return CountMatrix(
-        row_words=row_words, col_words=col_words, counts=counts, window=window
+        row_words=row_words, col_words=col_words, counts=counts, window=window,
+        language=corpus.language,
     )
 
 
@@ -82,12 +84,7 @@ def ppmi_transform(m: CountMatrix) -> VectorTable:
     with np.errstate(divide="ignore", invalid="ignore"):
         pmi = np.log(counts * total) - np.log(row_sums * col_sums)
     ppmi = np.where(counts > 0, np.maximum(pmi, 0.0), 0.0)
-    vectors = {w: ppmi[i].copy() for i, w in enumerate(m.row_words)}
-    return VectorTable(
-        language=getattr(m, "language", "und"),
-        dimension=len(m.col_words),
-        vectors=vectors,
-    )
+    return VectorTable(m.language, m.row_words, ppmi)
 
 
 def build_bow_table(
@@ -99,6 +96,4 @@ def build_bow_table(
 ) -> VectorTable:
     """Count + PPMI in one step; k and window default to the tuned values."""
     matrix = count_cooccurrences(corpus, targets, vocab, k, window)
-    table = ppmi_transform(matrix)
-    table.language = corpus.language
-    return table
+    return ppmi_transform(matrix)

@@ -48,8 +48,7 @@ from .errors import (
 )
 from .manifest import RunManifest
 from .scoring import (
-    Ranking,
-    ScoreVector,
+    align_scores,
     rank_scores,
     read_pair_list,
     read_scores,
@@ -160,29 +159,22 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _model_scores_vs_human(table, evaluation_set, aliases=None):
-    human = human_mean_scores(evaluation_set)
-    model = score_pairs(table, evaluation_set.pairs, oov_policy="skip",
-                        aliases=aliases)
-    common = sorted(set(model.scores) & set(human.scores))
-    if len(common) < 2:
-        raise DegenerateError("fewer than 2 covered pairs")
-    return model, human, common
-
-
 def cmd_eval(args) -> int:
     table = load_vectors(args.vectors, language=args.language)
     evaluation_set = load_evaluation_set(args.evalset,
                                          language=args.jl or args.language)
-    model, human, common = _model_scores_vs_human(table, evaluation_set)
+    human = human_mean_scores(evaluation_set)
+    model = score_pairs(table, evaluation_set.pairs, oov_policy="skip")
+    covered, human = align_scores(model, human)
+    if len(covered.scores) < 2:
+        raise DegenerateError("fewer than 2 covered pairs")
     corr = _CORRELATIONS[args.correlation]
-    value = corr([model.scores[i] for i in common],
-                 [human.scores[i] for i in common])
+    value = corr(covered.as_array(), human.as_array())
     manifest = RunManifest.collect(
         "eval", {"correlation": args.correlation},
         [args.vectors, args.evalset],
     )
-    rows = [f"{args.correlation}\t{_fmt(value)}\t{len(common)}\t"
+    rows = [f"{args.correlation}\t{_fmt(value)}\t{len(covered.scores)}\t"
             f"{len(model.skipped)}"]
     header = "statistic\tvalue\tcovered_pairs\tskipped_pairs"
     if args.out:
@@ -221,10 +213,6 @@ def cmd_agree(args) -> int:
     return 0
 
 
-def _human_mean_ranking(evaluation_set) -> Ranking:
-    return rank_scores(human_mean_scores(evaluation_set))
-
-
 def cmd_quintiles(args) -> int:
     if args.mode in ("within", "cross"):
         sets, paths = [], []
@@ -251,18 +239,14 @@ def cmd_quintiles(args) -> int:
             )
         lang, path = _parse_tagged(args.evalset[0])
         evaluation_set = load_evaluation_set(path, language=lang)
-        model = read_scores(args.scores, provenance="model")
-        human = human_mean_scores(evaluation_set)
-        common = sorted(set(model.scores) & set(human.scores))
-        if len(common) < args.quantiles:
+        model, human = align_scores(
+            read_scores(args.scores, provenance="model"),
+            human_mean_scores(evaluation_set),
+        )
+        if len(model.scores) < args.quantiles:
             raise DegenerateError("too few covered pairs for quantile split")
-        r_model = rank_scores(
-            ScoreVector({i: model.scores[i] for i in common}, "model")
-        )
-        r_human = rank_scores(
-            ScoreVector({i: human.scores[i] for i in common}, "human")
-        )
-        overlap = quintile_fscore(r_model, r_human, q=args.quantiles)
+        overlap = quintile_fscore(rank_scores(model), rank_scores(human),
+                                  q=args.quantiles)
         inputs = [args.scores, path]
     manifest = RunManifest.collect(
         "quintiles",
@@ -277,45 +261,22 @@ def cmd_quintiles(args) -> int:
     return 0
 
 
-def _score_file_words(path) -> dict[int, tuple[str, str]]:
-    """Word columns of a score TSV, keyed by pair index."""
-    words: dict[int, tuple[str, str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#") or \
-                    line.startswith("pair_index"):
-                continue
-            fields = line.split("\t")
-            if len(fields) >= 4:
-                words[int(fields[0])] = (fields[1], fields[2])
-    return words
-
-
 def cmd_combine(args) -> int:
     if args.method == "li":
         if not args.scores or len(args.scores) != 2:
             raise ArgumentError("li needs exactly two --scores files")
-        s1 = read_scores(args.scores[0], provenance="model1")
-        s2 = read_scores(args.scores[1], provenance="model2")
-        common = sorted(set(s1.scores) & set(s2.scores))
-        if not common:
-            raise AlignmentError("score files share no pair indices")
-        combined = interpolate_scores(
-            ScoreVector({i: s1.scores[i] for i in common}, s1.provenance),
-            ScoreVector({i: s2.scores[i] for i in common}, s2.provenance),
-            args.lam,
+        s1, s2 = align_scores(
+            read_scores(args.scores[0], provenance="model1"),
+            read_scores(args.scores[1], provenance="model2"),
         )
+        if not s1.scores:
+            raise AlignmentError("score files share no pair indices")
+        combined = interpolate_scores(s1, s2, args.lam)
         manifest = RunManifest.collect(
             "combine", {"method": "li", "lambda": args.lam}, args.scores
         )
-        words = _score_file_words(args.scores[0])
-        header = "pair_index\tword1\tword2\tscore"
-        rows = []
-        for i in common:
-            w1, w2 = words.get(i, ("?", "?"))
-            rows.append(f"{i}\t{w1}\t{w2}\t{_fmt(combined.scores[i])}")
-        _write_tsv(args.out, manifest, header, rows)
+        write_scores(combined, read_pair_list(args.scores[0]), args.out,
+                     header_lines=manifest.comment_lines())
         return 0
     # cca
     if not args.vectors or len(args.vectors) != 2 or not args.lexicon:

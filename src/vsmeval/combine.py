@@ -5,7 +5,7 @@ monolingual 80%-resample baseline used to control for smoothing effects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -18,7 +18,7 @@ from .errors import (
     FormatError,
     WordLookupError,
 )
-from .scoring import ScoreVector, WordPairList, score_pairs
+from .scoring import ScoreVector, WordPairList, align_scores, score_pairs
 from .stats import spearman
 from .errors import ConstantInputError
 from .vectors import VectorTable
@@ -52,6 +52,7 @@ class CcaModel:
     projection_2: np.ndarray  # d2 x m
     correlations: np.ndarray  # m values in [0, 1], non-increasing
     regularization: float
+    normalize_rows: bool = True  # unit-normalise table rows before projecting
 
     @property
     def n_components(self) -> int:
@@ -129,13 +130,16 @@ def fit_cca(
     )
 
 
-def _lookup(table: VectorTable, word: str, row: int) -> np.ndarray:
-    if word not in table:
+def _gather(table: VectorTable, words: tuple[str, ...]) -> np.ndarray:
+    """The rows of one lexicon column; a miss names its lexicon row."""
+    try:
+        return table.rows(words)
+    except KeyError as exc:
+        word = exc.args[0]
         raise WordLookupError(
-            f"word {word!r} (lexicon row {row}) missing from "
+            f"word {word!r} (lexicon row {words.index(word)}) missing from "
             f"{table.language} table"
-        )
-    return table[word]
+        ) from None
 
 
 def aligned_matrices(
@@ -155,8 +159,8 @@ def aligned_matrices(
     """
     w1 = lexicon.column(t1.language)
     w2 = lexicon.column(t2.language)
-    X = np.stack([_lookup(t1, w, i) for i, w in enumerate(w1)])
-    Y = np.stack([_lookup(t2, w, i) for i, w in enumerate(w2)])
+    X = _gather(t1, w1)
+    Y = _gather(t2, w2)
     if normalize:
         X = _unit_rows(X)
         Y = _unit_rows(Y)
@@ -206,8 +210,7 @@ def fit_cca_tables(
         mean, comps = pca2
         model.mean_2 = mean + comps @ model.mean_2
         model.projection_2 = comps @ model.projection_2
-    model.normalize_rows = normalize
-    return model
+    return replace(model, normalize_rows=normalize)
 
 
 def project_concat(
@@ -227,33 +230,27 @@ def project_concat(
     """
     if side not in (None, "l1", "l2"):
         raise ArgumentError(f"side must be None, 'l1' or 'l2', got {side!r}")
-    normalize = getattr(model, "normalize_rows", True)
     w1 = lexicon.column(t1.language)
     w2 = lexicon.column(t2.language)
+    X = _gather(t1, w1)
+    Y = _gather(t2, w2)
+    if model.normalize_rows:
+        X = _unit_rows(X)
+        Y = _unit_rows(Y)
     vectors: dict[str, np.ndarray] = {}
     aliases: dict[str, str] = {}
-    for row, (a, b) in enumerate(zip(w1, w2)):
-        v1 = _lookup(t1, a, row).astype(float)
-        v2 = _lookup(t2, b, row).astype(float)
-        if normalize:
-            v1 = _unit_rows(v1[None, :])[0]
-            v2 = _unit_rows(v2[None, :])[0]
-        p1 = (v1 - model.mean_1) @ model.projection_1
-        p2 = (v2 - model.mean_2) @ model.projection_2
-        if side == "l1":
-            vec = p1
-        elif side == "l2":
-            vec = p2
-        else:
-            vec = np.concatenate([p1, p2])
-        vectors[a] = vec
+    for a, b, x, y in zip(w1, w2, X, Y):
+        # one row at a time: a matrix product changes the last bits
+        halves = []
+        if side != "l2":
+            halves.append((x - model.mean_1) @ model.projection_1)
+        if side != "l1":
+            halves.append((y - model.mean_2) @ model.projection_2)
+        vectors[a] = np.concatenate(halves)
         if b != a:
             aliases[b] = a
     dimension = model.n_components * (1 if side else 2)
-    table = VectorTable(
-        language=t1.language, dimension=dimension, vectors=vectors
-    )
-    return table, aliases
+    return VectorTable.from_dict(t1.language, vectors, dimension), aliases
 
 
 @dataclass
@@ -294,25 +291,16 @@ def monolingual_baseline(
         m2 = build(c2)
         try:
             if combiner == "li":
-                s1 = score_pairs(m1, pairs, oov_policy="skip")
-                s2 = score_pairs(m2, pairs, oov_policy="skip")
-                common = sorted(set(s1.scores) & set(s2.scores))
-                if len(common) < 2:
-                    raise DegenerateError("coverage collapse")
-                combined = interpolate_scores(
-                    ScoreVector({i: s1.scores[i] for i in common},
-                                s1.provenance),
-                    ScoreVector({i: s2.scores[i] for i in common},
-                                s2.provenance),
-                    lam,
+                s1, s2 = align_scores(
+                    score_pairs(m1, pairs, oov_policy="skip"),
+                    score_pairs(m2, pairs, oov_policy="skip"),
                 )
+                combined = interpolate_scores(s1, s2, lam)
             else:
                 words = sorted(
                     {w for p in pairs.pairs for w in p
                      if w in m1 and w in m2}
                 )
-                if len(words) < 2:
-                    raise DegenerateError("coverage collapse")
                 lexicon = TranslationLexicon(
                     languages=(m1.language, m2.language),
                     rows=tuple((w, w) for w in words),
@@ -321,14 +309,11 @@ def monolingual_baseline(
                 table, aliases = project_concat(m1, m2, lexicon, model)
                 combined = score_pairs(table, pairs, oov_policy="skip",
                                        aliases=aliases)
-            common = sorted(set(combined.scores) & set(human.scores))
-            if len(common) < 2:
+            combined, covered_human = align_scores(combined, human)
+            if len(combined.scores) < 2:
                 raise DegenerateError("coverage collapse")
-            rho = spearman(
-                [combined.scores[i] for i in common],
-                [human.scores[i] for i in common],
-            )
-            rhos.append(rho)
+            rhos.append(spearman(combined.as_array(),
+                                 covered_human.as_array()))
         except (DegenerateError, ConstantInputError):
             failures += 1
     if not rhos:
@@ -339,14 +324,15 @@ def monolingual_baseline(
 
 
 def save_cca_model(model: CcaModel, path) -> None:
-    """Text dump: header ``l1 l2 d1 d2 m eps`` then means, correlations
-    and the two projection matrices row by row."""
+    """Text dump: header ``l1 l2 d1 d2 m eps normalize_rows(1/0)`` then
+    means, correlations and the two projection matrices row by row."""
     d1 = model.projection_1.shape[0]
     d2 = model.projection_2.shape[0]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             f"{model.languages[0]} {model.languages[1]} "
-            f"{d1} {d2} {model.n_components} {model.regularization!r}\n"
+            f"{d1} {d2} {model.n_components} {model.regularization!r} "
+            f"{int(model.normalize_rows)}\n"
         )
         for vec in (model.mean_1, model.mean_2, model.correlations):
             fh.write(" ".join(repr(float(v)) for v in vec) + "\n")
@@ -356,28 +342,35 @@ def save_cca_model(model: CcaModel, path) -> None:
 
 
 def load_cca_model(path) -> CcaModel:
+    """Inverse of save_cca_model; a 6-field header means normalize_rows."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 6:
+        if len(header) not in (6, 7) or header[6:] not in ([], ["0"], ["1"]):
             raise FormatError("bad CCA model header", path=path, line=1)
-        l1, l2 = header[0], header[1]
         d1, d2, m = int(header[2]), int(header[3]), int(header[4])
         eps = float(header[5])
-        rows = [np.array([float(v) for v in line.split()])
-                for line in fh if line.strip()]
-    expected = 3 + d1 + d2
-    if len(rows) != expected:
+        lines = [(lineno, line.split())
+                 for lineno, line in enumerate(fh, start=2) if line.strip()]
+    widths = [d1, d2, m] + [m] * (d1 + d2)
+    if len(lines) != len(widths):
         raise FormatError(
-            f"expected {expected} data rows, got {len(rows)}", path=path
+            f"expected {len(widths)} data rows, got {len(lines)}", path=path
         )
+    rows = []
+    for (lineno, fields), width in zip(lines, widths):
+        if len(fields) != width:
+            raise FormatError(f"expected {width} values, got {len(fields)}",
+                              path=path, line=lineno)
+        rows.append(np.array(fields, dtype=float))
     return CcaModel(
-        languages=(l1, l2),
+        languages=(header[0], header[1]),
         mean_1=rows[0],
         mean_2=rows[1],
         correlations=rows[2],
         projection_1=np.stack(rows[3:3 + d1]),
         projection_2=np.stack(rows[3 + d1:]),
         regularization=eps,
+        normalize_rows=header[6:] != ["0"],
     )
 
 

@@ -168,12 +168,6 @@ def write_corpus(corpus: Corpus, path) -> None:
             fh.write("\n")
 
 
-def write_vocabulary(vocab: Vocabulary, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for word in vocab.frequency_order:
-            fh.write(f"{word}\t{vocab.count(word)}\n")
-
-
 def read_wordlist(path) -> tuple[str, ...]:
     """One word per line; blank lines ignored."""
     words = []

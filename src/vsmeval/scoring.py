@@ -58,19 +58,33 @@ class Ranking:
         return np.array([self.ranks[i] for i in indices])
 
 
+_TINY = np.finfo(float).tiny  # smallest normal double
+
+
+def _pow2_scaled(x: np.ndarray) -> np.ndarray:
+    """``x`` scaled by a power of two to a largest magnitude in [0.5, 1)."""
+    _, exponent = np.frexp(np.max(np.abs(x), initial=0.0))
+    return np.ldexp(x, -exponent)
+
+
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """u.v / (|u||v|); defined as 0.0 when either norm is zero."""
+    """u.v / (|u||v|); defined as 0.0 when either norm is zero. If a
+    squared norm is subnormal or overflows, each vector is first scaled by
+    a power of two, which leaves the cosine unchanged."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ArgumentError(
             f"dimension mismatch: {u.shape} vs {v.shape}"
         )
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
+    with np.errstate(over="ignore"):
+        uu, vv = np.dot(u, u), np.dot(v, v)
+    if not (_TINY <= uu < np.inf and _TINY <= vv < np.inf):
+        u, v = _pow2_scaled(u), _pow2_scaled(v)
+        uu, vv = np.dot(u, u), np.dot(v, v)
+    if uu == 0.0 or vv == 0.0:
         return 0.0
-    return float(np.dot(u, v) / (nu * nv))
+    return float(np.dot(u, v) / (np.sqrt(uu) * np.sqrt(vv)))
 
 
 def score_pairs(
@@ -120,6 +134,18 @@ def score_pairs(
     )
 
 
+def align_scores(
+    a: ScoreVector, b: ScoreVector
+) -> tuple[ScoreVector, ScoreVector]:
+    """``a`` and ``b`` restricted to the pair indices they share, each in
+    ascending index order and keeping its provenance."""
+    common = sorted(set(a.scores) & set(b.scores))
+    return (
+        ScoreVector({i: a.scores[i] for i in common}, a.provenance),
+        ScoreVector({i: b.scores[i] for i in common}, b.provenance),
+    )
+
+
 def rank_scores(scores: ScoreVector) -> Ranking:
     """Descending ranks (1 = highest score); ties get the mean of their
     rank positions."""
@@ -132,7 +158,8 @@ def rank_scores(scores: ScoreVector) -> Ranking:
 
 
 def read_pair_list(path, language: str = "und") -> WordPairList:
-    """TSV of ``pair_index<TAB>word1<TAB>word2``; a header row is allowed."""
+    """TSV of ``pair_index<TAB>word1<TAB>word2`` (extra columns ignored);
+    ``#`` comments and a header row before the first pair are skipped."""
     pairs, ids = [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -140,7 +167,7 @@ def read_pair_list(path, language: str = "und") -> WordPairList:
             if not line or line.startswith("#"):
                 continue
             fields = line.split("\t")
-            if lineno == 1 and fields[0] == "pair_index":
+            if not ids and fields[0] == "pair_index":
                 continue
             if len(fields) < 3:
                 raise FormatError("expected pair_index, word1, word2",

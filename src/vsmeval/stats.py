@@ -29,7 +29,6 @@ class WelchResult:
 @dataclass(frozen=True)
 class QuintileOverlap:
     f_scores: tuple[float, ...]
-    block_sizes: tuple[int, ...]
 
 
 def _paired(x, y):
@@ -153,4 +152,4 @@ def quintile_fscore(r1: Ranking, r2: Ranking, q: int = 5) -> QuintileOverlap:
     for i, size in enumerate(sizes):
         inter = int(np.sum((b1 == i) & (b2 == i)))
         f_scores.append(2.0 * inter / (2 * size))
-    return QuintileOverlap(f_scores=tuple(f_scores), block_sizes=sizes)
+    return QuintileOverlap(f_scores=tuple(f_scores))

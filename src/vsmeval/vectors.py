@@ -1,16 +1,19 @@
-"""Dense word vector tables and their text interchange format.
+"""Word vector tables and their text interchange format.
+
+A ``VectorTable`` is one ``len(words) x dimension`` float matrix whose row
+``i`` is the vector of ``words[i]``; a word -> row index backs ``in``, ``[]``
+and the ``rows`` gather. PPMI, file IO and CCA all pass such matrices whole.
 
 The canonical on-disk representation is the word2vec text format: a
 header line ``<vocab_size> <dimension>`` followed by one ``word v1 ... vd``
-line per word. Both PPMI-derived tables and externally trained embeddings
-flow through the same structure.
+line per word, each float in its shortest round-tripping ``repr``.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -22,28 +25,59 @@ from .errors import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class VectorTable:
     language: str
-    dimension: int
-    vectors: dict[str, np.ndarray]
+    words: tuple[str, ...]
+    matrix: np.ndarray  # len(words) x dimension, float
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for word, vec in self.vectors.items():
-            if vec.shape != (self.dimension,):
+        if self.matrix.ndim != 2 or len(self.matrix) != len(self.words):
+            raise ArgumentError(
+                f"matrix of shape {self.matrix.shape} does not hold one row "
+                f"per word ({len(self.words)} words)"
+            )
+        index = {w: i for i, w in enumerate(self.words)}
+        if len(index) != len(self.words):
+            raise ArgumentError("a vector table lists a word twice")
+        object.__setattr__(self, "_index", index)
+
+    @classmethod
+    def from_dict(cls, language: str, vectors, dimension: int) -> VectorTable:
+        """Table from a word -> vector mapping. As in a dict, a word keeps
+        the position of its first insertion and its last value."""
+        for word, vec in vectors.items():
+            if np.shape(vec) != (dimension,):
                 raise ArgumentError(
-                    f"vector for {word!r} has shape {vec.shape}, "
-                    f"expected ({self.dimension},)"
+                    f"vector for {word!r} has shape {np.shape(vec)}, "
+                    f"expected ({dimension},)"
                 )
+        matrix = np.array(list(vectors.values()), dtype=float)
+        return cls(language, tuple(vectors),
+                   matrix.reshape(len(vectors), dimension))
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[1]
+
+    @property
+    def vectors(self):
+        """Read-only word -> row view mapping, in row order."""
+        return MappingProxyType(dict(zip(self.words, self.matrix)))
+
+    def rows(self, words) -> np.ndarray:
+        """The rows of ``words`` as a new matrix; KeyError names a miss."""
+        return self.matrix[[self._index[w] for w in words]]
 
     def __contains__(self, word):
-        return word in self.vectors
+        return word in self._index
 
     def __getitem__(self, word):
-        return self.vectors[word]
+        return self.matrix[self._index[word]]
 
     def __len__(self):
-        return len(self.vectors)
+        return len(self.words)
 
 
 @dataclass
@@ -56,11 +90,6 @@ class CoverageReport:
     def __post_init__(self):
         if set(self.covered) & set(self.excluded):
             raise AlignmentError("covered and excluded pair sets overlap")
-
-
-def _format_float(x: float) -> str:
-    # shortest representation that round-trips exactly
-    return repr(float(x))
 
 
 def load_vectors(path, language: str = "und") -> VectorTable:
@@ -79,7 +108,6 @@ def load_vectors(path, language: str = "und") -> VectorTable:
             vocab_size, dimension = int(parts[0]), int(parts[1])
         except ValueError:
             raise FormatError("non-integer header fields", path=path, line=1)
-        n_rows = 0
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -91,7 +119,7 @@ def load_vectors(path, language: str = "und") -> VectorTable:
                 )
             word = fields[0]
             try:
-                vec = np.array([float(v) for v in fields[1:]])
+                vec = np.array(fields[1:], dtype=float)
             except ValueError:
                 raise FormatError("unparseable float", path=path, line=lineno)
             if not np.all(np.isfinite(vec)):
@@ -104,20 +132,18 @@ def load_vectors(path, language: str = "und") -> VectorTable:
                     f"duplicate word {word!r} at line {lineno}; "
                     "keeping the last occurrence"
                 )
-            else:
-                n_rows += 1
             vectors[word] = vec
-            if n_rows > vocab_size:
+            if len(vectors) > vocab_size:
                 raise FormatError(
                     f"more than the declared {vocab_size} words",
                     path=path, line=lineno,
                 )
-    if n_rows != vocab_size:
+    if len(vectors) != vocab_size:
         raise FormatError(
-            f"header declares {vocab_size} words but body has {n_rows}",
+            f"header declares {vocab_size} words but body has {len(vectors)}",
             path=path,
         )
-    return VectorTable(language=language, dimension=dimension, vectors=vectors)
+    return VectorTable.from_dict(language, vectors, dimension)
 
 
 def save_vectors(table: VectorTable, path) -> None:
@@ -125,14 +151,14 @@ def save_vectors(table: VectorTable, path) -> None:
     reproduces the table bit-for-bit."""
     if len(table) == 0:
         raise EmptyInputError("refusing to save an empty vector table")
+    for word in table.words:
+        if word.split() != [word]:
+            raise FormatError(f"word {word!r} is empty or contains "
+                              "whitespace", path=path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(table)} {table.dimension}\n")
-        for word, vec in table.vectors.items():
-            fh.write(word)
-            for v in vec:
-                fh.write(" ")
-                fh.write(_format_float(v))
-            fh.write("\n")
+        for word, row in zip(table.words, table.matrix):
+            fh.write(word + " " + " ".join(map(repr, row.tolist())) + "\n")
 
 
 def vocabulary_coverage(tables, eval_sets) -> CoverageReport:

@@ -105,11 +105,11 @@ def build_cli_workspace(root):
     save_evaluation_set(evalset, root / "evalset.tsv")
 
     save_vectors(
-        VectorTable("en", 4, {w: rng.normal(size=4) for w in words}),
+        VectorTable.from_dict("en", {w: rng.normal(size=4) for w in words}, 4),
         root / "vectors.txt",
     )
     save_vectors(
-        VectorTable("de", 4, {w: rng.normal(size=4) for w in words}),
+        VectorTable.from_dict("de", {w: rng.normal(size=4) for w in words}, 4),
         root / "vectors_de.txt",
     )
     save_lexicon(

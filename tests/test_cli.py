@@ -85,7 +85,7 @@ def test_eval_perfect_model_rho_one(workspace, capsys):
         angle = np.arccos(np.clip(human.scores[pos] / 10.0, -1, 1))
         vectors[w1] = np.array([1.0, 0.0])
         vectors[w2] = np.array([np.cos(angle), np.sin(angle)])
-    save_vectors(VectorTable("en", 2, vectors),
+    save_vectors(VectorTable.from_dict("en", vectors, 2),
                  workspace / "perfect.txt")
     out = workspace / "eval.tsv"
     code = main(["eval", "--vectors", str(workspace / "perfect.txt"),
@@ -107,7 +107,7 @@ def test_eval_reversed_model_rho_minus_one(workspace):
         angle = np.arccos(np.clip(1.0 - human.scores[pos] / 10.0, -1, 1))
         vectors[w1] = np.array([1.0, 0.0])
         vectors[w2] = np.array([np.cos(angle), np.sin(angle)])
-    save_vectors(VectorTable("en", 2, vectors),
+    save_vectors(VectorTable.from_dict("en", vectors, 2),
                  workspace / "reversed.txt")
     out = workspace / "eval.tsv"
     assert main(["eval", "--vectors", str(workspace / "reversed.txt"),

@@ -20,6 +20,7 @@ from vsmeval.errors import (
     AlignmentError,
     ArgumentError,
     DegenerateError,
+    FormatError,
     WordLookupError,
 )
 from vsmeval.scoring import ScoreVector, WordPairList, score_pairs
@@ -136,11 +137,13 @@ def _aligned_tables(rng, n_words=20, d1=6, d2=6):
     w1 = [f"en{i}" for i in range(n_words)]
     w2 = [f"de{i}" for i in range(n_words)]
     base = rng.normal(size=(n_words, d1))
-    t1 = VectorTable("en", d1, {w: base[i] for i, w in enumerate(w1)})
-    t2 = VectorTable(
-        "de", d2,
+    t1 = VectorTable.from_dict("en", {w: base[i] for i, w in enumerate(w1)},
+                               d1)
+    t2 = VectorTable.from_dict(
+        "de",
         {w: base[i, :d2] + 0.1 * rng.normal(size=d2)
          for i, w in enumerate(w2)},
+        d2,
     )
     lexicon = TranslationLexicon(("en", "de"), tuple(zip(w1, w2)))
     return t1, t2, lexicon
@@ -164,8 +167,10 @@ class TestProjectConcat:
     def test_identical_tables_preserve_scores(self, rng):
         words = [f"w{i}" for i in range(15)]
         base = rng.normal(size=(15, 5))
-        t1 = VectorTable("en", 5, {w: base[i] for i, w in enumerate(words)})
-        t2 = VectorTable("de", 5, {w: base[i] for i, w in enumerate(words)})
+        t1 = VectorTable.from_dict(
+            "en", {w: base[i] for i, w in enumerate(words)}, 5)
+        t2 = VectorTable.from_dict(
+            "de", {w: base[i] for i, w in enumerate(words)}, 5)
         lexicon = TranslationLexicon(("en", "de"),
                                      tuple((w, w) for w in words))
         model = fit_cca_tables(t1, t2, lexicon, eps=1e-12)
@@ -182,7 +187,10 @@ class TestProjectConcat:
 
     def test_missing_word_names_row(self, rng):
         t1, t2, lexicon = _aligned_tables(rng)
-        del t1.vectors["en3"]
+        t1 = VectorTable.from_dict(
+            "en", {w: v for w, v in t1.vectors.items() if w != "en3"},
+            t1.dimension,
+        )
         model_lexicon = TranslationLexicon(
             ("en", "de"),
             tuple(r for r in lexicon.rows if r[0] != "en3"),
@@ -190,6 +198,20 @@ class TestProjectConcat:
         model = fit_cca_tables(t1, t2, model_lexicon)
         with pytest.raises(WordLookupError, match="row 3"):
             project_concat(t1, t2, lexicon, model)
+
+    def test_repeated_first_language_word(self, rng):
+        # as in a dict: the word keeps its first row and its last vector
+        t1, t2, lexicon = _aligned_tables(rng)
+        model = fit_cca_tables(t1, t2, lexicon, components=3)
+        last_row = TranslationLexicon(("en", "de"), (("en0", "de5"),))
+        repeated = TranslationLexicon(
+            ("en", "de"), lexicon.rows[:3] + last_row.rows
+        )
+        table, aliases = project_concat(t1, t2, repeated, model)
+        last, _ = project_concat(t1, t2, last_row, model)
+        assert table.words == ("en0", "en1", "en2")
+        assert np.array_equal(table["en0"], last["en0"])
+        assert aliases["de0"] == aliases["de5"] == "en0"
 
     def test_max_dim_cap_folds_into_projections(self, rng):
         t1, t2, lexicon = _aligned_tables(rng, n_words=30, d1=12, d2=10)
@@ -212,6 +234,36 @@ class TestCcaModelIO:
         assert np.array_equal(again.projection_2, model.projection_2)
         assert np.array_equal(again.correlations, model.correlations)
         assert again.regularization == model.regularization
+
+    def test_unnormalized_model_projects_identically(self, tmp_path, rng):
+        t1, t2, lexicon = _aligned_tables(rng)
+        model = fit_cca_tables(t1, t2, lexicon, normalize=False)
+        path = tmp_path / "model.txt"
+        save_cca_model(model, path)
+        again = load_cca_model(path)
+        assert again.normalize_rows is False
+        before, _ = project_concat(t1, t2, lexicon, model)
+        after, _ = project_concat(t1, t2, lexicon, again)
+        assert np.array_equal(after.matrix, before.matrix)
+
+    def test_six_field_header_normalizes_rows(self, tmp_path, rng):
+        t1, t2, lexicon = _aligned_tables(rng)
+        path = tmp_path / "model.txt"
+        save_cca_model(fit_cca_tables(t1, t2, lexicon, normalize=False),
+                       path)
+        header, rest = path.read_text().split("\n", 1)
+        path.write_text(header.rsplit(" ", 1)[0] + "\n" + rest)
+        assert load_cca_model(path).normalize_rows is True
+
+    def test_ragged_row_rejected(self, tmp_path, rng):
+        model = fit_cca(rng.normal(size=(20, 3)), rng.normal(size=(20, 3)))
+        path = tmp_path / "model.txt"
+        save_cca_model(model, path)
+        lines = path.read_text().splitlines()
+        lines[5] += " 0.5"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=r"expected 3 values.*:6\]"):
+            load_cca_model(path)
 
 
 class TestLexiconIO:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from vsmeval.errors import ArgumentError, WordLookupError
 from vsmeval.scoring import (
@@ -44,11 +44,18 @@ def test_cosine_dimension_mismatch():
         cosine([1, 2], [1, 2, 3])
 
 
+def test_cosine_overflowing_norms():
+    assert cosine([1e200, 1e200], [1e200, 2e200]) == pytest.approx(
+        3 / np.sqrt(10), abs=1e-15
+    )
+
+
 @given(
     st.lists(st.floats(-100, 100), min_size=2, max_size=6),
     st.floats(0.001, 1000),
     st.floats(0.001, 1000),
 )
+@example(v=[1.08e-159, 1.08e-159], alpha=1.0, beta=0.5)
 def test_cosine_positive_scale_invariance(v, alpha, beta):
     u = np.array(v)
     w = u[::-1].copy()
@@ -66,14 +73,14 @@ def _pairlist(pairs):
 
 def test_score_identical_vectors_give_one():
     v = np.array([1.0, 2.0])
-    table = VectorTable("en", 2, {"a": v, "b": v.copy()})
+    table = VectorTable.from_dict("en", {"a": v, "b": v.copy()}, 2)
     scores = score_pairs(table, _pairlist([("a", "b")]))
     assert scores.scores[0] == pytest.approx(1.0)
 
 
 def test_score_skip_policy_bookkeeping(rng):
     words = {f"w{i}": rng.normal(size=3) for i in range(14)}
-    table = VectorTable("en", 3, words)
+    table = VectorTable.from_dict("en", words, 3)
     pairs = [(f"w{2 * i}", f"w{2 * i + 1}") for i in range(7)]
     pairs += [("w0", "miss1"), ("miss2", "w1"), ("miss3", "miss4")]
     scores = score_pairs(table, _pairlist(pairs), oov_policy="skip")
@@ -83,14 +90,14 @@ def test_score_skip_policy_bookkeeping(rng):
 
 
 def test_score_error_policy_names_word():
-    table = VectorTable("en", 2, {"a": np.ones(2)})
+    table = VectorTable.from_dict("en", {"a": np.ones(2)}, 2)
     with pytest.raises(WordLookupError, match="b"):
         score_pairs(table, _pairlist([("a", "b")]), oov_policy="error")
 
 
 def test_scores_match_per_pair_cosine(rng):
     words = {f"w{i}": rng.normal(size=8) for i in range(100)}
-    table = VectorTable("en", 8, words)
+    table = VectorTable.from_dict("en", words, 8)
     pairs = [
         (f"w{rng.integers(100)}", f"w{rng.integers(100)}")
         for _ in range(353)
@@ -105,7 +112,7 @@ def test_scores_match_per_pair_cosine(rng):
 
 
 def test_degenerate_pairs_flagged():
-    table = VectorTable("en", 2, {"a": np.zeros(2), "b": np.ones(2)})
+    table = VectorTable.from_dict("en", {"a": np.zeros(2), "b": np.ones(2)}, 2)
     scores = score_pairs(table, _pairlist([("a", "b"), ("b", "b")]))
     assert scores.degenerate == frozenset({0})
 
@@ -150,8 +157,8 @@ def test_rank_invariant_under_monotone_transform(rng):
 
 def test_uniform_table_scaling_keeps_scores(rng):
     words = {f"w{i}": rng.normal(size=4) for i in range(10)}
-    t1 = VectorTable("en", 4, words)
-    t2 = VectorTable("en", 4, {w: 3.5 * v for w, v in words.items()})
+    t1 = VectorTable.from_dict("en", words, 4)
+    t2 = VectorTable.from_dict("en", {w: 3.5 * v for w, v in words.items()}, 4)
     pairs = _pairlist([("w0", "w1"), ("w2", "w3")])
     s1 = score_pairs(t1, pairs)
     s2 = score_pairs(t2, pairs)

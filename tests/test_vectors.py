@@ -1,5 +1,11 @@
+import os
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vsmeval.errors import AlignmentError, EmptyInputError, FormatError
 from vsmeval.vectors import (
@@ -15,10 +21,8 @@ from conftest import make_evalset
 
 def _table(words, dim=3, language="en", rng=None):
     rng = rng or np.random.default_rng(0)
-    return VectorTable(
-        language=language,
-        dimension=dim,
-        vectors={w: rng.normal(size=dim) for w in words},
+    return VectorTable.from_dict(
+        language, {w: rng.normal(size=dim) for w in words}, dim
     )
 
 
@@ -73,9 +77,57 @@ def test_duplicate_word_last_wins(tmp_path):
 
 
 def test_save_empty_table_refused(tmp_path):
-    table = VectorTable(language="en", dimension=3, vectors={})
+    table = VectorTable.from_dict("en", {}, 3)
     with pytest.raises(EmptyInputError):
         save_vectors(table, tmp_path / "v.txt")
+
+
+def test_save_whitespace_word_refused(tmp_path):
+    table = VectorTable.from_dict("en", {"new york": np.ones(2)}, 2)
+    path = tmp_path / "v.txt"
+    with pytest.raises(FormatError, match="'new york'"):
+        save_vectors(table, path)
+    assert not path.exists()
+
+
+_WORDS = st.text(st.characters(exclude_categories=("Cs",)), min_size=1) \
+    .filter(lambda w: w.split() == [w])
+
+
+@st.composite
+def _vector_lines(draw):
+    """(dimension, [(word, vector), ...]) with words often repeated."""
+    dim = draw(st.integers(1, 4))
+    words = draw(st.lists(_WORDS, min_size=1, max_size=4, unique=True))
+    vector = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=dim, max_size=dim)
+    lines = st.lists(st.tuples(st.sampled_from(words), vector),
+                     min_size=1, max_size=8)
+    return dim, draw(lines)
+
+
+@settings(deadline=None)
+@given(_vector_lines())
+def test_file_roundtrip_property(case):
+    # floats include +-0 and subnormals; a repeated word keeps its first
+    # position and its last vector, and values survive bit for bit
+    dim, lines = case
+    expected = dict(lines)
+    want = np.array(list(expected.values()), dtype=float).tobytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "v.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"{len(expected)} {dim}\n")
+            for word, vec in lines:
+                fh.write(word + " " + " ".join(map(repr, vec)) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            loaded = load_vectors(path)
+        save_vectors(loaded, path)
+        again = load_vectors(path)
+    for table in (loaded, again):
+        assert table.words == tuple(expected)
+        assert table.matrix.tobytes() == want
 
 
 def test_save_line_count(tmp_path):
