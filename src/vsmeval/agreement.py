@@ -10,11 +10,9 @@ corresponding subset of another language (cross-language).
 One engine serves every K-subset path. ``_batch_split_means`` yields one
 batch at a time the pairs x subsets matrices of subset and complement
 means, so only one batch is ever held in memory. Spearman rho is Pearson
-on average ranks: ``_column_ranks`` ranks the columns of such a matrix,
-256 at a time, with one row-wise argsort over the transposed block, one
-flat pass over the tie groups and one scatter back. Average ranks are
-half-integers, so it equals ``scipy.stats.rankdata(axis=0)`` bit for
-bit, and every sum of centred ranks is exact, whatever its order.
+on average ranks; the rank kernel (``stats.column_ranks``) and the
+quintile block counts (``stats.quintile_intersections``) live in
+``stats``, shared with the single-vector statistics.
 
 ``significance_driver`` ranks each language's subset-mean and
 complement-mean matrices once per batch and reuses those ranks for all
@@ -40,18 +38,14 @@ from .scoring import ScoreVector, WordPairList
 from .stats import (
     QuintileOverlap,
     WelchResult,
-    quintile_block_sizes,
+    column_ranks,
+    quintile_intersections,
     welch_t_test,
 )
 
 ANNOTATORS_PER_BATCH = 13
 DEFAULT_SUBSET_SIZE = 6
 OUTLIER_THRESHOLD = 1.45
-# Columns ranked per block. Each temporary of a block then stays near
-# 100 KB and the allocator reuses its memory; a temporary the size of a
-# whole 50 x 1716 matrix is mapped afresh on every call, and its page
-# faults cost about as much as the ranking itself.
-_RANK_BLOCK = 256
 
 
 @dataclass
@@ -191,47 +185,10 @@ def _subset_membership(n: int, k: int) -> np.ndarray:
     return member
 
 
-def _column_ranks(x: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based, ties share the mean of their positions) of
-    every column of an n x m matrix, equal to ``rankdata(x, axis=0)``."""
-    n, m = x.shape
-    ranks = np.empty((m, n))
-    for lo in range(0, m, _RANK_BLOCK):
-        rows = np.ascontiguousarray(x[:, lo:lo + _RANK_BLOCK].T)
-        _rank_rows(rows, out=ranks[lo:lo + _RANK_BLOCK])
-    return ranks.T
-
-
-def _rank_rows(rows: np.ndarray, out: np.ndarray) -> None:
-    """Average ranks within each row of a C-contiguous matrix."""
-    m, n = rows.shape
-    # one argsort over all rows; flat indices address the matrix as one
-    # array of m runs of n sorted values
-    offsets = np.arange(0, m * n, n)[:, None]
-    flat = (rows.argsort(axis=1) + offsets).ravel()
-    ordered = rows.ravel()[flat]
-    # a tie group starts at every run start and at every change of value
-    starts = np.empty(m * n, dtype=bool)
-    starts[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    starts[::n] = True
-    first = np.flatnonzero(starts)
-    last = np.append(first[1:], m * n) - 1
-    # mean of the group's flat 1-based positions; subtracting the run's
-    # offset makes it a rank within the row. Every value is a small
-    # half-integer, so all of this is exact.
-    mean_position = (first + last) / 2 + 1
-    # cumsum over an integer copy: on a bool array it is over twice as slow
-    group = starts.astype(np.intp).cumsum() - 1
-    ranks = np.empty(m * n)
-    ranks[flat] = mean_position[group]
-    np.subtract(ranks.reshape(m, n), offsets, out=out)
-
-
 def _centred_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column ranks minus their column mean, and each column's sum of
     squares; both exact, since the ranks are half-integers."""
-    r = _column_ranks(x)
+    r = column_ranks(x)
     r -= r.mean(axis=0)
     return r, (r * r).sum(axis=0)
 
@@ -424,28 +381,24 @@ def quintile_agreement_analysis(
     f_sums = np.zeros(q)
     count = 0
     for m1, m2 in splits:
-        n, n_subsets = m1.shape
-        sizes = quintile_block_sizes(n, q)
-        cols = np.arange(n_subsets)
-        # descending order; stable sort keeps pair-position order on ties
-        order1 = np.argsort(-m1, axis=0, kind="stable")
-        order2 = np.argsort(-m2, axis=0, kind="stable")
-        block_idx = np.repeat(np.arange(q), sizes)
-        b1 = np.empty_like(order1)
-        b2 = np.empty_like(order2)
-        b1[order1, cols[None, :]] = block_idx[:, None]
-        b2[order2, cols[None, :]] = block_idx[:, None]
+        sizes, inter = quintile_intersections(m1, m2, q)
         for i in range(q):
-            inter = ((b1 == i) & (b2 == i)).sum(axis=0)
-            f_sums[i] += (inter / sizes[i]).sum()
-        count += n_subsets
+            f_sums[i] += (inter[i] / sizes[i]).sum()
+        count += m1.shape[1]
     return QuintileOverlap(f_scores=tuple(f_sums / count))
 
 
 def human_mean_scores(evaluation_set: EvaluationSet) -> ScoreVector:
-    """Per-pair arithmetic mean over all annotators (the human reference
-    for model evaluation)."""
-    means = evaluation_set.scores.mean(axis=1)
+    """Per-pair arithmetic mean over the judgments present (the human
+    reference for model evaluation); the empty cells of a ``qc`` output
+    are left out. A pair without any judgment is refused."""
+    empty = np.flatnonzero(np.isnan(evaluation_set.scores).all(axis=1))
+    if empty.size:
+        raise ValidationError(
+            f"pair {evaluation_set.pairs.source_ids[empty[0]]} has no "
+            "judgment"
+        )
+    means = np.nanmean(evaluation_set.scores, axis=1)
     scores = {
         idx: float(means[pos])
         for pos, idx in enumerate(evaluation_set.pairs.source_ids)
@@ -485,10 +438,15 @@ def load_evaluation_set(
                 f"expected {len(header)} fields, got {len(fields)}",
                 path=path, line=lineno,
             )
-        ids.append(int(fields[0]))
+        try:
+            ids.append(int(fields[0]))
+            rows.append([float(v) if v != "" else np.nan
+                         for v in fields[4:]])
+        except ValueError:
+            raise FormatError("non-numeric pair index or score",
+                              path=path, line=lineno)
         pairs.append((fields[1], fields[2]))
         batch_labels.append(fields[3])
-        rows.append([float(v) if v != "" else np.nan for v in fields[4:]])
     batch_order = []
     batch_positions: dict[str, list[int]] = {}
     for pos, label in enumerate(batch_labels):

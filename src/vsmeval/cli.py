@@ -49,7 +49,6 @@ from .errors import (
 from .manifest import RunManifest
 from .scoring import (
     align_scores,
-    rank_scores,
     read_pair_list,
     read_scores,
     score_pairs,
@@ -96,6 +95,14 @@ def _parse_tagged(value: str) -> tuple[str, str]:
         )
     lang, path = value.split("=", 1)
     return lang, path
+
+
+def _load_tagged(values, loader):
+    """The paths of 'LANG=PATH' arguments and ``loader(path,
+    language=LANG)`` of each; every argument is parsed before any load."""
+    tagged = [_parse_tagged(v) for v in values or []]
+    return ([path for _, path in tagged],
+            [loader(path, language=lang) for lang, path in tagged])
 
 
 def _load_pairs_or_evalset(path, language):
@@ -185,22 +192,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_agree(args) -> int:
-    sets = []
-    for tagged in args.evalset:
-        lang, path = _parse_tagged(tagged)
-        sets.append((path, load_evaluation_set(path, language=lang)))
+    paths, sets = _load_tagged(args.evalset, load_evaluation_set)
     if args.mode == "within":
         if len(sets) != 1:
             raise ArgumentError("within mode takes exactly one evaluation set")
-        report = within_language_agreement(sets[0][1], K=args.subset_size)
+        report = within_language_agreement(sets[0], K=args.subset_size)
     else:
         if len(sets) != 2:
             raise ArgumentError("cross mode takes exactly two evaluation sets")
-        report = cross_language_agreement(sets[0][1], sets[1][1],
+        report = cross_language_agreement(sets[0], sets[1],
                                           K=args.subset_size)
     manifest = RunManifest.collect(
-        "agree", {"mode": args.mode, "K": args.subset_size},
-        [p for p, _ in sets],
+        "agree", {"mode": args.mode, "K": args.subset_size}, paths,
     )
     header = "label\tmean\tstd\tsamples\tdegenerate"
     rows = [f"{report.label}\t{_fmt(report.mean)}\t{_fmt(report.std)}\t"
@@ -215,11 +218,7 @@ def cmd_agree(args) -> int:
 
 def cmd_quintiles(args) -> int:
     if args.mode in ("within", "cross"):
-        sets, paths = [], []
-        for tagged in args.evalset or []:
-            lang, path = _parse_tagged(tagged)
-            paths.append(path)
-            sets.append(load_evaluation_set(path, language=lang))
+        inputs, sets = _load_tagged(args.evalset, load_evaluation_set)
         if args.mode == "within":
             if len(sets) != 1:
                 raise ArgumentError("within mode takes one evaluation set")
@@ -231,23 +230,22 @@ def cmd_quintiles(args) -> int:
             overlap = quintile_agreement_analysis(sets[0], sets[1],
                                                   K=args.subset_size,
                                                   q=args.quantiles)
-        inputs = paths
     else:  # model-human
         if not (args.scores and args.evalset and len(args.evalset) == 1):
             raise ArgumentError(
                 "model-human mode needs --scores and one evaluation set"
             )
-        lang, path = _parse_tagged(args.evalset[0])
-        evaluation_set = load_evaluation_set(path, language=lang)
+        paths, (evaluation_set,) = _load_tagged(args.evalset,
+                                                load_evaluation_set)
         model, human = align_scores(
             read_scores(args.scores, provenance="model"),
             human_mean_scores(evaluation_set),
         )
         if len(model.scores) < args.quantiles:
             raise DegenerateError("too few covered pairs for quantile split")
-        overlap = quintile_fscore(rank_scores(model), rank_scores(human),
+        overlap = quintile_fscore(model.as_array(), human.as_array(),
                                   q=args.quantiles)
-        inputs = [args.scores, path]
+        inputs = [args.scores, *paths]
     manifest = RunManifest.collect(
         "quintiles",
         {"mode": args.mode, "q": args.quantiles, "K": args.subset_size},
@@ -282,11 +280,7 @@ def cmd_combine(args) -> int:
     if not args.vectors or len(args.vectors) != 2 or not args.lexicon:
         raise ArgumentError("cca needs two --vectors (LANG=PATH) and "
                             "--lexicon")
-    (lang1, path1), (lang2, path2) = (
-        _parse_tagged(v) for v in args.vectors
-    )
-    t1 = load_vectors(path1, language=lang1)
-    t2 = load_vectors(path2, language=lang2)
+    (path1, path2), (t1, t2) = _load_tagged(args.vectors, load_vectors)
     lexicon = load_lexicon(args.lexicon)
     model = fit_cca_tables(
         t1, t2, lexicon, eps=args.eps, components=args.components,
@@ -338,15 +332,8 @@ def cmd_qc(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    tables = []
-    for tagged in args.vectors:
-        lang, path = _parse_tagged(tagged)
-        tables.append(load_vectors(path, language=lang))
-    sets, paths = [], []
-    for tagged in args.evalset:
-        lang, path = _parse_tagged(tagged)
-        paths.append(path)
-        sets.append(load_evaluation_set(path, language=lang))
+    _, tables = _load_tagged(args.vectors, load_vectors)
+    _, sets = _load_tagged(args.evalset, load_evaluation_set)
     report = vocabulary_coverage(tables, sets)
     write_coverage(report, sets[0], args.out)
     print(f"covered {len(report.covered)} / excluded {len(report.excluded)}")

@@ -14,13 +14,13 @@ from .corpus import Corpus, sample_corpus
 from .errors import (
     AlignmentError,
     ArgumentError,
+    ConstantInputError,
     DegenerateError,
     FormatError,
     WordLookupError,
 )
 from .scoring import ScoreVector, WordPairList, align_scores, score_pairs
 from .stats import spearman
-from .errors import ConstantInputError
 from .vectors import VectorTable
 
 
@@ -347,8 +347,12 @@ def load_cca_model(path) -> CcaModel:
         header = fh.readline().split()
         if len(header) not in (6, 7) or header[6:] not in ([], ["0"], ["1"]):
             raise FormatError("bad CCA model header", path=path, line=1)
-        d1, d2, m = int(header[2]), int(header[3]), int(header[4])
-        eps = float(header[5])
+        try:
+            d1, d2, m = int(header[2]), int(header[3]), int(header[4])
+            eps = float(header[5])
+        except ValueError:
+            raise FormatError("non-numeric CCA model header field",
+                              path=path, line=1)
         lines = [(lineno, line.split())
                  for lineno, line in enumerate(fh, start=2) if line.strip()]
     widths = [d1, d2, m] + [m] * (d1 + d2)
@@ -361,7 +365,10 @@ def load_cca_model(path) -> CcaModel:
         if len(fields) != width:
             raise FormatError(f"expected {width} values, got {len(fields)}",
                               path=path, line=lineno)
-        rows.append(np.array(fields, dtype=float))
+        try:
+            rows.append(np.array(fields, dtype=float))
+        except ValueError:
+            raise FormatError("non-numeric value", path=path, line=lineno)
     return CcaModel(
         languages=(header[0], header[1]),
         mean_1=rows[0],

@@ -1,5 +1,5 @@
-"""Word-pair scoring: cosine similarity against a vector table, and
-rankings with the average-rank tie convention (rank 1 = most similar).
+"""Word-pair scoring: cosine similarity against a vector table, score
+vectors keyed by pair index, and their TSV files.
 """
 
 from __future__ import annotations
@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ArgumentError, FormatError, WordLookupError
 from .vectors import VectorTable
@@ -43,19 +42,6 @@ class ScoreVector:
         if indices is None:
             indices = self.indices()
         return np.array([self.scores[i] for i in indices])
-
-
-@dataclass
-class Ranking:
-    ranks: dict[int, float]  # pair index -> rank (1 = best), average ties
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.ranks))
-
-    def as_array(self, indices=None) -> np.ndarray:
-        if indices is None:
-            indices = self.indices()
-        return np.array([self.ranks[i] for i in indices])
 
 
 _TINY = np.finfo(float).tiny  # smallest normal double
@@ -146,17 +132,6 @@ def align_scores(
     )
 
 
-def rank_scores(scores: ScoreVector) -> Ranking:
-    """Descending ranks (1 = highest score); ties get the mean of their
-    rank positions."""
-    indices = scores.indices()
-    if len(indices) < 2:
-        raise ArgumentError("ranking needs at least 2 scores")
-    values = scores.as_array(indices)
-    ranks = rankdata(-values, method="average")
-    return Ranking(ranks=dict(zip(indices, ranks)))
-
-
 def read_pair_list(path, language: str = "und") -> WordPairList:
     """TSV of ``pair_index<TAB>word1<TAB>word2`` (extra columns ignored);
     ``#`` comments and a header row before the first pair are skipped."""
@@ -209,14 +184,20 @@ def read_scores(path, provenance: str = "file") -> ScoreVector:
             line = line.rstrip("\n")
             if not line:
                 continue
-            if line.startswith("#OOV\t"):
-                fields = line.split("\t")
-                skipped[int(fields[1])] = tuple(fields[4].split(","))
-                continue
-            if line.startswith("#") or line.startswith("pair_index"):
+            oov = line.startswith("#OOV\t")
+            if not oov and line.startswith(("#", "pair_index")):
                 continue
             fields = line.split("\t")
-            if len(fields) < 4:
-                raise FormatError("expected 4 columns", path=path, line=lineno)
-            scores[int(fields[0])] = float(fields[3])
+            width = 5 if oov else 4
+            if len(fields) < width:
+                raise FormatError(f"expected {width} columns",
+                                  path=path, line=lineno)
+            try:
+                if oov:
+                    skipped[int(fields[1])] = tuple(fields[4].split(","))
+                else:
+                    scores[int(fields[0])] = float(fields[3])
+            except ValueError:
+                raise FormatError("non-numeric pair index or score",
+                                  path=path, line=lineno)
     return ScoreVector(scores=scores, provenance=provenance, skipped=skipped)

@@ -8,7 +8,6 @@ from scipy.stats import rankdata
 from vsmeval import agreement
 from vsmeval.agreement import (
     EvaluationSet,
-    _column_ranks,
     _columnwise_spearman,
     apply_outlier_filter,
     agreement_significance,
@@ -25,7 +24,7 @@ from vsmeval.agreement import (
 )
 from vsmeval.errors import AlignmentError, ArgumentError, ValidationError
 from vsmeval.scoring import WordPairList
-from vsmeval.stats import spearman
+from vsmeval.stats import column_ranks, spearman
 
 from conftest import make_evalset, synthetic_languages
 from oracles import spearman_bruteforce
@@ -147,7 +146,7 @@ class TestColumnRanks:
             x = r.integers(0, levels, size=(n, m)) / step
         constant = r.random(m) < constant_share
         x[:, constant] = x[0, constant]
-        ranks = _column_ranks(x)
+        ranks = column_ranks(x)
         expected = rankdata(x, axis=0)
         assert ranks.dtype == expected.dtype
         assert np.array_equal(ranks, expected)
@@ -386,6 +385,21 @@ class TestEvaluationSetIO:
         human = human_mean_scores(evalset)
         for pos in range(10):
             assert human.scores[pos] == pytest.approx(scores[pos].mean())
+
+    def test_human_mean_scores_average_present_judgments(self, rng):
+        scores = rng.uniform(0, 10, size=(10, 13))
+        scores[:5, 12] = np.nan
+        human = human_mean_scores(make_evalset(scores, batch_size=5))
+        for pos in range(10):
+            present = [v for v in scores[pos] if not np.isnan(v)]
+            assert human.scores[pos] == pytest.approx(
+                sum(present) / len(present))
+
+    def test_pair_without_judgment_refused(self, rng):
+        scores = rng.uniform(0, 10, size=(10, 13))
+        scores[3] = np.nan
+        with pytest.raises(ValidationError, match="pair 3"):
+            human_mean_scores(make_evalset(scores, batch_size=5))
 
 
 class TestOutlierFilter:

@@ -1,11 +1,22 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from vsmeval.agreement import save_evaluation_set
+from vsmeval.agreement import load_evaluation_set, save_evaluation_set
 from vsmeval.cli import main
+from vsmeval.combine import load_cca_model
+from vsmeval.errors import FormatError
+from vsmeval.scoring import read_scores
+from vsmeval.stats import quintile_block_sizes
 from vsmeval.vectors import VectorTable, load_vectors, save_vectors
 
 from conftest import build_cli_workspace, make_evalset
+from oracles import quintile_fscores_sets, spearman_bruteforce
 
 
 @pytest.fixture
@@ -272,3 +283,85 @@ def test_manifest_embedded_in_reports(workspace):
     assert first.startswith("# manifest:")
     assert "sha256" not in first  # digests keyed by path
     assert "evalset.tsv" in first
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import vsmeval.cli, sys; assert 'scipy.stats' not in sys.modules"],
+        env=env, check=True,
+    )
+
+
+_EVALSET_HEADER = "pair_index\tword1\tword2\tbatch\ta01\ta02\n"
+_CCA_ROWS = "0.0\n0.0\n1.0\n1.0\n1.0\n"
+
+
+@pytest.mark.parametrize("loader, text, line", [
+    (load_evaluation_set, _EVALSET_HEADER + "0\ta\tb\t0\t1.0\t2.0\n"
+     "x\tc\td\t0\t1.0\t2.0\n", 3),
+    (load_evaluation_set, _EVALSET_HEADER + "0\ta\tb\t0\t1.0\tfive\n", 2),
+    (read_scores, "pair_index\tword1\tword2\tscore\n#OOV\t3\n", 2),
+    (read_scores, "0\ta\tb\t0.5\n1\tc\td\thigh\n", 2),
+    (load_cca_model, "en de x 1 1 1e-08 1\n" + _CCA_ROWS, 1),
+    (load_cca_model, "en de 1 1 1 small 1\n" + _CCA_ROWS, 1),
+], ids=["evalset-index", "evalset-score", "scores-oov", "scores-score",
+        "cca-dimension", "cca-eps"])
+def test_malformed_numbers_are_located_format_errors(tmp_path, loader, text,
+                                                     line):
+    path = tmp_path / "input.tsv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=f"{path}:{line}]"):
+        loader(path)
+
+
+def test_eval_and_quintiles_after_qc_use_present_judgments(tmp_path,
+                                                           capsys):
+    # every annotator mean of a batch is 4.0 until annotator 0 of batch 0
+    # is shifted: qc keeps 12 and 13 annotators, so batch 0's rows of the
+    # cleaned set end in an empty cell
+    rng = np.random.default_rng(4)
+    scores = np.clip(4.0 + rng.normal(0, 0.4, size=(100, 13)), 0, 10)
+    for batch in (scores[:50], scores[50:]):
+        batch += 4.0 - batch.mean(axis=0)
+    scores[:50, 0] = np.clip(scores[:50, 0] + 5.0, 0, 10)
+    words = tuple((f"w{i}a", f"w{i}b") for i in range(100))
+    save_evaluation_set(make_evalset(scores, words=words),
+                        tmp_path / "raw.tsv")
+    save_vectors(
+        VectorTable.from_dict(
+            "en", {w: rng.normal(size=4) for p in words for w in p}, 4),
+        tmp_path / "vectors.txt",
+    )
+    cleaned = tmp_path / "cleaned.tsv"
+    model = tmp_path / "scores.tsv"
+    for argv in (
+        ["qc", "--scores", str(tmp_path / "raw.tsv"), "--out", str(cleaned)],
+        ["score", "--vectors", str(tmp_path / "vectors.txt"),
+         "--pairs", str(cleaned), "--out", str(model)],
+        ["eval", "--vectors", str(tmp_path / "vectors.txt"),
+         "--evalset", str(cleaned)],
+        ["quintiles", "--mode", "model-human", "--scores", str(model),
+         "--evalset", f"en={cleaned}", "--out", str(tmp_path / "q.tsv")],
+    ):
+        assert main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    cells = load_evaluation_set(cleaned).scores
+    assert np.isnan(cells[:50]).sum() == 50
+    assert not np.isnan(cells[50:]).any()
+    human = [sum(c for c in row if not math.isnan(c))
+             / sum(not math.isnan(c) for c in row) for row in cells.tolist()]
+    model_scores = [read_scores(model).scores[i] for i in range(100)]
+
+    statistic, value, covered, _ = printed[2].split("\t")
+    assert (statistic, covered) == ("spearman", "100")
+    assert float(value) == pytest.approx(
+        spearman_bruteforce(model_scores, human), abs=1e-12)
+
+    orders = [sorted(range(100), key=lambda i: (-v[i], i))
+              for v in (model_scores, human)]
+    expected = quintile_fscores_sets(*orders, quintile_block_sizes(100, 5))
+    f_scores = [float(row.split("\t")[1]) for row in printed[3:]]
+    assert f_scores == pytest.approx(expected)

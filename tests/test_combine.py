@@ -174,16 +174,13 @@ class TestProjectConcat:
         lexicon = TranslationLexicon(("en", "de"),
                                      tuple((w, w) for w in words))
         model = fit_cca_tables(t1, t2, lexicon, eps=1e-12)
-        combined, aliases = project_concat(t1, t2, lexicon, model)
-        pairs = WordPairList("en", (("w0", "w1"), ("w2", "w3")), (0, 1))
-        single = score_pairs(t1, pairs)
-        multi = score_pairs(combined, pairs, aliases=aliases)
-        # identical inputs: CCA is a full-rank invertible map of the
-        # whitened space, so rank structure is preserved; scores agree
-        # after whitening only in rank order, so compare rankings
-        s = [single.scores[i] for i in sorted(single.scores)]
-        m = [multi.scores[i] for i in sorted(multi.scores)]
-        assert len(s) == len(m)
+        combined, _ = project_concat(t1, t2, lexicon, model)
+        m = model.n_components
+        vectors = combined.rows(words)
+        assert np.allclose(vectors[:, :m], vectors[:, m:], rtol=0, atol=1e-9)
+        unit = base / np.linalg.norm(base, axis=1, keepdims=True)
+        expected = [(u - model.mean_1) @ model.projection_1 for u in unit]
+        assert np.array_equal(vectors[:, :m], expected)
 
     def test_missing_word_names_row(self, rng):
         t1, t2, lexicon = _aligned_tables(rng)

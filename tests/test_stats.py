@@ -3,12 +3,11 @@ import pytest
 import scipy.stats
 
 from vsmeval.errors import (
-    AlignmentError,
     ArgumentError,
     ConstantInputError,
     DegenerateError,
+    ValidationError,
 )
-from vsmeval.scoring import Ranking
 from vsmeval.stats import (
     kendall_tau_b,
     pearson,
@@ -83,6 +82,27 @@ class TestSpearman:
                 continue
             theirs = scipy.stats.spearmanr(x, y).statistic
             assert ours == pytest.approx(theirs, abs=1e-10)
+
+    def test_equals_pearson_of_rankdata_exactly(self, rng):
+        for _ in range(100):
+            x = _random_tied(rng, int(rng.integers(2, 80)))
+            y = rng.normal(size=len(x))
+            try:
+                ours = spearman(x, y)
+            except ConstantInputError:
+                continue
+            assert ours == pearson(scipy.stats.rankdata(x),
+                                   scipy.stats.rankdata(y))
+
+
+@pytest.mark.parametrize("correlation", [pearson, spearman, kendall_tau_b])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_correlations_reject_non_finite(correlation, bad):
+    x = [1.0, 2.0, 3.0, 4.0]
+    with pytest.raises(ValidationError):
+        correlation(x, [1.0, bad, 2.0, 3.0])
+    with pytest.raises(ValidationError):
+        correlation([1.0, bad, 2.0, 3.0], x)
 
 
 class TestPearson:
@@ -184,11 +204,6 @@ class TestWelch:
             )
 
 
-def _ranking(values):
-    ranks = scipy.stats.rankdata([-v for v in values])
-    return Ranking(dict(enumerate(ranks)))
-
-
 class TestQuintiles:
     def test_block_sizes(self):
         assert quintile_block_sizes(350, 5) == (70, 70, 70, 70, 70)
@@ -196,14 +211,14 @@ class TestQuintiles:
         assert quintile_block_sizes(49, 5) == (10, 10, 10, 10, 9)
 
     def test_identical_rankings(self, rng):
-        r = _ranking(rng.normal(size=25))
+        r = rng.normal(size=25)
         overlap = quintile_fscore(r, r)
         assert overlap.f_scores == (1.0, 1.0, 1.0, 1.0, 1.0)
 
     def test_full_reversal_n10(self):
         values = list(range(10))
-        r1 = _ranking(values)
-        r2 = _ranking(values[::-1])
+        r1 = values
+        r2 = values[::-1]
         # mirrored blocks of 2 share nothing except the self-mapped middle
         assert quintile_fscore(r1, r2).f_scores == (0, 0, 1, 0, 0)
 
@@ -212,27 +227,41 @@ class TestQuintiles:
             n = int(rng.integers(10, 60))
             v1 = rng.normal(size=n)
             v2 = rng.normal(size=n)
-            r1, r2 = _ranking(v1), _ranking(v2)
             sizes = quintile_block_sizes(n, 5)
-            order1 = sorted(range(n), key=lambda i: (r1.ranks[i], i))
-            order2 = sorted(range(n), key=lambda i: (r2.ranks[i], i))
+            order1 = sorted(range(n), key=lambda i: (-v1[i], i))
+            order2 = sorted(range(n), key=lambda i: (-v2[i], i))
             expected = quintile_fscores_sets(order1, order2, sizes)
-            got = quintile_fscore(r1, r2).f_scores
+            got = quintile_fscore(v1, v2).f_scores
             assert list(got) == pytest.approx(expected)
 
     def test_symmetry(self, rng):
-        r1 = _ranking(rng.normal(size=33))
-        r2 = _ranking(rng.normal(size=33))
+        r1 = rng.normal(size=33)
+        r2 = rng.normal(size=33)
         assert quintile_fscore(r1, r2).f_scores == \
             quintile_fscore(r2, r1).f_scores
 
-    def test_index_mismatch_rejected(self, rng):
-        r1 = _ranking(rng.normal(size=10))
-        r2 = Ranking({i + 100: r for i, r in r1.ranks.items()})
-        with pytest.raises(AlignmentError):
-            quintile_fscore(r1, r2)
+    def test_ties_follow_pair_position(self, rng):
+        # few levels and signed zeros: equal scores keep pair order
+        for _ in range(30):
+            n = int(rng.integers(5, 80))
+            q = int(rng.integers(2, 6))
+            levels = np.array([-0.0, 0.0, 0.5, 1.0])
+            v1 = rng.choice(levels, size=n)
+            v2 = rng.choice(levels, size=n)
+            sizes = quintile_block_sizes(n, q)
+            order1 = sorted(range(n), key=lambda i: (-v1[i], i))
+            order2 = sorted(range(n), key=lambda i: (-v2[i], i))
+            expected = quintile_fscores_sets(order1, order2, sizes)
+            assert list(quintile_fscore(v1, v2, q=q).f_scores) == \
+                pytest.approx(expected)
+
+    def test_unequal_or_single_inputs_rejected(self, rng):
+        with pytest.raises(ArgumentError):
+            quintile_fscore(rng.normal(size=10), rng.normal(size=9))
+        with pytest.raises(ArgumentError):
+            quintile_fscore([1.0], [1.0], q=2)
 
     def test_q_validation(self, rng):
-        r = _ranking(rng.normal(size=10))
+        r = rng.normal(size=10)
         with pytest.raises(ArgumentError):
             quintile_fscore(r, r, q=1)
