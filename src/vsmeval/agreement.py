@@ -42,6 +42,7 @@ from .stats import (
     quintile_intersections,
     welch_t_test,
 )
+from .textfile import check_cells, read_lines
 
 ANNOTATORS_PER_BATCH = 13
 DEFAULT_SUBSET_SIZE = 6
@@ -148,6 +149,8 @@ def detect_outliers(
     When the others' means have zero spread the statistic is +inf if the
     annotator's mean differs from theirs and 0 otherwise.
     """
+    if np.isnan(threshold):
+        raise ArgumentError("the outlier threshold is NaN")
     batch_scores = np.asarray(batch_scores, dtype=float)
     m = batch_scores.shape[1]
     if m < 3:
@@ -378,12 +381,12 @@ def quintile_agreement_analysis(
         set2.require_complete()
         _check_aligned(set1, set2)
         splits = _paired_subset_means(set1, set2, K)
-    f_sums = np.zeros(q)
-    count = 0
+    # a scalar start leaves the checks on q to the kernel
+    f_sums, count = 0.0, 0
     for m1, m2 in splits:
         sizes, inter = quintile_intersections(m1, m2, q)
-        for i in range(q):
-            f_sums[i] += (inter[i] / sizes[i]).sum()
+        f_sums += np.array([(row / size).sum()
+                            for row, size in zip(inter, sizes)])
         count += m1.shape[1]
     return QuintileOverlap(f_scores=tuple(f_sums / count))
 
@@ -413,26 +416,21 @@ def load_evaluation_set(
 ) -> EvaluationSet:
     """TSV with header ``pair_index word1 word2 batch a01..aNN``; empty
     score cells load as NaN (only QC inputs/outputs may contain them)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [
-            (i, ln.rstrip("\n"))
-            for i, ln in enumerate(fh, start=1)
-            if ln.strip() and not ln.startswith("#")
-        ]
-    if not lines:
+    lines = ((n, line.split("\t")) for n, line in read_lines(path)
+             if not line.startswith("#"))
+    lineno, header = next(lines, (None, None))
+    if header is None:
         raise FormatError("empty evaluation set", path=path)
-    header = lines[0][1].split("\t")
     if header[:4] != ["pair_index", "word1", "word2", "batch"]:
         raise FormatError(
             "header must start with pair_index, word1, word2, batch",
-            path=path, line=lines[0][0],
+            path=path, line=lineno,
         )
-    n_annot = len(header) - 4
-    if n_annot < 1:
-        raise FormatError("no annotator columns", path=path, line=lines[0][0])
-    ids, pairs, batch_labels, rows = [], [], [], []
-    for lineno, line in lines[1:]:
-        fields = line.split("\t")
+    if len(header) < 5:
+        raise FormatError("no annotator columns", path=path, line=lineno)
+    ids, pairs, rows = [], [], []
+    batches: dict[str, list[int]] = {}  # label -> positions, first seen first
+    for lineno, fields in lines:
         if len(fields) != len(header):
             raise FormatError(
                 f"expected {len(header)} fields, got {len(fields)}",
@@ -445,31 +443,27 @@ def load_evaluation_set(
         except ValueError:
             raise FormatError("non-numeric pair index or score",
                               path=path, line=lineno)
+        batches.setdefault(fields[3], []).append(len(pairs))
         pairs.append((fields[1], fields[2]))
-        batch_labels.append(fields[3])
-    batch_order = []
-    batch_positions: dict[str, list[int]] = {}
-    for pos, label in enumerate(batch_labels):
-        if label not in batch_positions:
-            batch_positions[label] = []
-            batch_order.append(label)
-        batch_positions[label].append(pos)
-    name = dataset_name or str(path)
+    if not ids:
+        raise FormatError("evaluation set without pairs", path=path)
     return EvaluationSet(
         language=language or "und",
-        dataset_name=name,
+        dataset_name=dataset_name or str(path),
         pairs=WordPairList(
             language=language or "und",
             pairs=tuple(pairs),
             source_ids=tuple(ids),
         ),
         scores=np.array(rows, dtype=float),
-        batches=tuple(tuple(batch_positions[l]) for l in batch_order),
+        batches=tuple(tuple(positions) for positions in batches.values()),
     )
 
 
 def save_evaluation_set(evaluation_set: EvaluationSet, path,
                         header_lines=()) -> None:
+    for pair in evaluation_set.pairs.pairs:
+        check_cells(pair, path)
     n_annot = evaluation_set.n_annotators
     batch_of = {}
     for b, positions in enumerate(evaluation_set.batches):

@@ -43,6 +43,8 @@ def count_cooccurrences(
     Two occurrences of the same type do co-occur; a token never co-occurs
     with itself at its own position.
     """
+    if k < 1:
+        raise ArgumentError(f"k must be >= 1, got {k}")
     if window < 1:
         raise ArgumentError(f"window must be >= 1, got {window}")
     col_words = vocab.top_k(k)  # raises if k exceeds vocabulary size

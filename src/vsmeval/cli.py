@@ -55,6 +55,7 @@ from .scoring import (
     write_scores,
 )
 from .stats import kendall_tau_b, pearson, quintile_fscore, spearman
+from .textfile import read_lines
 from .vectors import (
     load_vectors,
     save_vectors,
@@ -105,25 +106,25 @@ def _load_tagged(values, loader):
             [loader(path, language=lang) for lang, path in tagged])
 
 
+def _first_row(path) -> list[str]:
+    """Cells of the first line that is not blank or a # comment, or []."""
+    return next((line.split("\t") for _, line in read_lines(path)
+                 if not line.startswith("#")), [])
+
+
 def _load_pairs_or_evalset(path, language):
     """A word-pair TSV or a full evaluation set; sniffed by header."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip() and not line.startswith("#"):
-                header = line.split("\t")
-                break
-        else:
-            raise FormatError("empty pair file", path=path)
-    if len(header) >= 4 and header[3].strip() in ("batch",):
+    header = _first_row(path)
+    if not header:
+        raise FormatError("empty pair file", path=path)
+    if len(header) >= 4 and header[3].strip() == "batch":
         return load_evaluation_set(path, language=language).pairs
     return read_pair_list(path, language=language)
 
 
 def _target_words(path):
     """Target list for BOW rows: a plain wordlist or a pair file."""
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-    if "\t" in first:
+    if len(_first_row(path)) > 1:
         pairs = _load_pairs_or_evalset(path, "und")
         return sorted({w for p in pairs.pairs for w in p})
     return list(read_wordlist(path))

@@ -6,6 +6,7 @@ monolingual 80%-resample baseline used to control for smoothing effects.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 
 import numpy as np
 import scipy.linalg
@@ -21,6 +22,7 @@ from .errors import (
 )
 from .scoring import ScoreVector, WordPairList, align_scores, score_pairs
 from .stats import spearman
+from .textfile import check_cells, read_lines
 from .vectors import VectorTable
 
 
@@ -39,6 +41,11 @@ class TranslationLexicon:
                 raise AlignmentError(f"lexicon row {row!r} has an empty cell")
 
     def column(self, language: str) -> tuple[str, ...]:
+        if language not in self.languages:
+            raise AlignmentError(
+                f"lexicon has no {language!r} column; its languages are "
+                f"{', '.join(self.languages)}"
+            )
         j = self.languages.index(language)
         return tuple(row[j] for row in self.rows)
 
@@ -97,6 +104,10 @@ def fit_cca(
     to the diagonal so rank-deficient inputs stay well-posed. Canonical
     correlations are the singular values clipped to [0, 1].
     """
+    if components is not None and components < 1:
+        raise ArgumentError(f"components must be >= 1, got {components}")
+    if not 0.0 <= eps < np.inf:
+        raise ArgumentError(f"eps must be finite and >= 0, got {eps}")
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
@@ -157,6 +168,8 @@ def aligned_matrices(
     the (mean, components) used to reduce each side; the caller folds
     them into downstream projections.
     """
+    if max_dim is not None and max_dim < 1:
+        raise ArgumentError(f"max_dim must be >= 1, got {max_dim}")
     w1 = lexicon.column(t1.language)
     w2 = lexicon.column(t2.language)
     X = _gather(t1, w1)
@@ -281,6 +294,10 @@ def monolingual_baseline(
     """
     if combiner not in ("li", "cca"):
         raise ArgumentError(f"unknown combiner {combiner!r}")
+    if reps < 1:
+        raise ArgumentError(f"reps must be >= 1, got {reps}")
+    if seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
     seeds = np.random.SeedSequence(seed).generate_state(2 * reps)
     rhos = []
     failures = 0
@@ -343,25 +360,25 @@ def save_cca_model(model: CcaModel, path) -> None:
 
 def load_cca_model(path) -> CcaModel:
     """Inverse of save_cca_model; a 6-field header means normalize_rows."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) not in (6, 7) or header[6:] not in ([], ["0"], ["1"]):
-            raise FormatError("bad CCA model header", path=path, line=1)
-        try:
-            d1, d2, m = int(header[2]), int(header[3]), int(header[4])
-            eps = float(header[5])
-        except ValueError:
-            raise FormatError("non-numeric CCA model header field",
-                              path=path, line=1)
-        lines = [(lineno, line.split())
-                 for lineno, line in enumerate(fh, start=2) if line.strip()]
-    widths = [d1, d2, m] + [m] * (d1 + d2)
-    if len(lines) != len(widths):
+    lines = read_lines(path)
+    lineno, first = next(lines, (1, ""))
+    header = first.split()
+    if len(header) not in (6, 7) or header[6:] not in ([], ["0"], ["1"]):
+        raise FormatError("bad CCA model header", path=path, line=lineno)
+    try:
+        d1, d2, m = int(header[2]), int(header[3]), int(header[4])
+        eps = float(header[5])
+    except ValueError:
+        raise FormatError("non-numeric CCA model header field",
+                          path=path, line=lineno)
+    body = list(lines)
+    if len(body) != 3 + d1 + d2:
         raise FormatError(
-            f"expected {len(widths)} data rows, got {len(lines)}", path=path
+            f"expected {3 + d1 + d2} data rows, got {len(body)}", path=path
         )
     rows = []
-    for (lineno, fields), width in zip(lines, widths):
+    for (lineno, line), width in zip(body, chain((d1, d2, m), repeat(m))):
+        fields = line.split()
         if len(fields) != width:
             raise FormatError(f"expected {width} values, got {len(fields)}",
                               path=path, line=lineno)
@@ -384,24 +401,26 @@ def load_cca_model(path) -> CcaModel:
 def load_lexicon(path) -> TranslationLexicon:
     """TSV with a header row of language codes and one aligned tuple per
     line."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh
-                 if ln.strip() and not ln.startswith("#")]
-    if not lines:
+    lines = ((n, tuple(line.split("\t"))) for n, line in read_lines(path)
+             if not line.startswith("#"))
+    _, languages = next(lines, (None, None))
+    if languages is None:
         raise FormatError("empty lexicon", path=path)
-    languages = tuple(lines[0].split("\t"))
     rows = []
-    for i, line in enumerate(lines[1:], start=2):
-        row = tuple(line.split("\t"))
+    for lineno, row in lines:
         if len(row) != len(languages):
-            raise FormatError(
-                f"expected {len(languages)} columns", path=path, line=i
-            )
+            raise FormatError(f"expected {len(languages)} columns",
+                              path=path, line=lineno)
         rows.append(row)
     return TranslationLexicon(languages=languages, rows=tuple(rows))
 
 
 def save_lexicon(lexicon: TranslationLexicon, path) -> None:
+    for row in (lexicon.languages, *lexicon.rows):
+        check_cells(row, path)
+        if not "".join(row).strip() or row[0].startswith("#"):
+            raise FormatError(f"row {row!r} would read as a blank line or "
+                              "a comment", path=path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(lexicon.languages) + "\n")
         for row in lexicon.rows:

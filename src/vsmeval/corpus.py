@@ -15,9 +15,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, EmptyInputError, FormatError
+from .errors import ArgumentError, EmptyInputError
 from .stemming import porter_stem
 from .stopwords import ENGLISH_STOPWORDS
+from .textfile import read_lines, read_text
 
 _SENTENCE_BREAK = re.compile(r"[.!?]+|\n+")
 
@@ -64,7 +65,7 @@ class Vocabulary:
 
 
 def tokenize_corpus(
-    raw_text: str | bytes, language: str, sentence_per_line: bool = False
+    raw_text: str, language: str, sentence_per_line: bool = False
 ) -> Corpus:
     """Split text into lowercased whitespace tokens, one sentence per
     terminal-punctuation or newline boundary.
@@ -72,13 +73,6 @@ def tokenize_corpus(
     With ``sentence_per_line`` every line is one sentence regardless of
     punctuation (the pre-segmented input mode).
     """
-    if isinstance(raw_text, bytes):
-        try:
-            raw_text = raw_text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(
-                f"malformed UTF-8 at byte offset {exc.start}"
-            ) from exc
     if sentence_per_line:
         segments = raw_text.split("\n")
     else:
@@ -145,6 +139,8 @@ def sample_corpus(corpus: Corpus, fraction: float, seed: int) -> Corpus:
     (corpus, fraction, seed)."""
     if not 0.0 < fraction <= 1.0:
         raise ArgumentError(f"fraction must lie in (0, 1], got {fraction}")
+    if seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
     n = len(corpus.sentences)
     if fraction == 1.0:
         return corpus
@@ -156,9 +152,8 @@ def sample_corpus(corpus: Corpus, fraction: float, seed: int) -> Corpus:
 
 
 def read_corpus(path, language: str, sentence_per_line: bool = True) -> Corpus:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    return tokenize_corpus(raw, language, sentence_per_line=sentence_per_line)
+    return tokenize_corpus(read_text(path), language,
+                           sentence_per_line=sentence_per_line)
 
 
 def write_corpus(corpus: Corpus, path) -> None:
@@ -170,10 +165,4 @@ def write_corpus(corpus: Corpus, path) -> None:
 
 def read_wordlist(path) -> tuple[str, ...]:
     """One word per line; blank lines ignored."""
-    words = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip()
-            if word:
-                words.append(word)
-    return tuple(words)
+    return tuple(line.strip() for _, line in read_lines(path))

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, FormatError, WordLookupError
+from .textfile import read_lines
 from .vectors import VectorTable
 
 
@@ -136,23 +137,20 @@ def read_pair_list(path, language: str = "und") -> WordPairList:
     """TSV of ``pair_index<TAB>word1<TAB>word2`` (extra columns ignored);
     ``#`` comments and a header row before the first pair are skipped."""
     pairs, ids = [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if not ids and fields[0] == "pair_index":
-                continue
-            if len(fields) < 3:
-                raise FormatError("expected pair_index, word1, word2",
-                                  path=path, line=lineno)
-            try:
-                ids.append(int(fields[0]))
-            except ValueError:
-                raise FormatError("non-integer pair index",
-                                  path=path, line=lineno)
-            pairs.append((fields[1], fields[2]))
+    for lineno, line in read_lines(path):
+        if line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if not ids and fields[0] == "pair_index":
+            continue
+        if len(fields) < 3:
+            raise FormatError("expected pair_index, word1, word2",
+                              path=path, line=lineno)
+        try:
+            ids.append(int(fields[0]))
+        except ValueError:
+            raise FormatError("non-integer pair index", path=path, line=lineno)
+        pairs.append((fields[1], fields[2]))
     return WordPairList(
         language=language, pairs=tuple(pairs), source_ids=tuple(ids)
     )
@@ -179,25 +177,21 @@ def write_scores(scores: ScoreVector, pairs: WordPairList, path,
 def read_scores(path, provenance: str = "file") -> ScoreVector:
     scores: dict[int, float] = {}
     skipped: dict[int, tuple[str, ...]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            oov = line.startswith("#OOV\t")
-            if not oov and line.startswith(("#", "pair_index")):
-                continue
-            fields = line.split("\t")
-            width = 5 if oov else 4
-            if len(fields) < width:
-                raise FormatError(f"expected {width} columns",
-                                  path=path, line=lineno)
-            try:
-                if oov:
-                    skipped[int(fields[1])] = tuple(fields[4].split(","))
-                else:
-                    scores[int(fields[0])] = float(fields[3])
-            except ValueError:
-                raise FormatError("non-numeric pair index or score",
-                                  path=path, line=lineno)
+    for lineno, line in read_lines(path):
+        oov = line.startswith("#OOV\t")
+        if not oov and line.startswith(("#", "pair_index")):
+            continue
+        fields = line.split("\t")
+        width = 5 if oov else 4
+        if len(fields) < width:
+            raise FormatError(f"expected {width} columns",
+                              path=path, line=lineno)
+        try:
+            if oov:
+                skipped[int(fields[1])] = tuple(fields[4].split(","))
+            else:
+                scores[int(fields[0])] = float(fields[3])
+        except ValueError:
+            raise FormatError("non-numeric pair index or score",
+                              path=path, line=lineno)
     return ScoreVector(scores=scores, provenance=provenance, skipped=skipped)

@@ -175,6 +175,10 @@ def quintile_intersections(a: np.ndarray, b: np.ndarray, q: int):
     ``quintile_block_sizes`` down the descending order of a column; a
     stable sort keeps pair-position order on ties."""
     n, m = a.shape
+    if q < 2:
+        raise ArgumentError(f"q must be >= 2, got {q}")
+    if n < q:
+        raise ArgumentError(f"cannot split {n} items into {q} blocks")
     sizes = quintile_block_sizes(n, q)
     block_of_position = np.repeat(np.arange(q), sizes)[:, None]
     cols = np.arange(m)[None, :]
@@ -197,11 +201,7 @@ def quintile_fscore(x, y, q: int = 5) -> QuintileOverlap:
 
     Ties at block boundaries are resolved by stable pair-position order.
     """
-    if q < 2:
-        raise ArgumentError(f"q must be >= 2, got {q}")
     x, y = _paired(x, y)
-    if len(x) < q:
-        raise ArgumentError(f"cannot split {len(x)} items into {q} blocks")
     sizes, inter = quintile_intersections(x[:, None], y[:, None], q)
     return QuintileOverlap(f_scores=tuple(
         float(count / size) for count, size in zip(inter[:, 0], sizes)

@@ -1,0 +1,47 @@
+"""The one reader of vsmeval text files.
+
+Every format is UTF-8. ``read_lines`` streams the non-blank lines of a
+file with their physical line numbers, and ``read_text`` returns a whole
+file; both raise a ``FormatError`` naming path:line on bytes that are not
+UTF-8. Comments are a rule of each format and stay with its parser.
+``check_cells`` is the writers' side: a cell of a tab-separated line may
+hold neither a tab nor a line break.
+"""
+
+import re
+
+from .errors import FormatError
+
+_UNDECODABLE = re.compile("[\udc80-\udcff]")  # surrogateescape's escapes
+
+
+def read_lines(path):
+    """Yield ``(line number, line without its break)`` for every line
+    that holds more than whitespace. Lines end at universal newlines."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii() and _UNDECODABLE.search(line):
+                raise FormatError("malformed UTF-8", path=path, line=lineno)
+            if not line.isspace():
+                yield lineno, line.rstrip("\n")
+
+
+def read_text(path) -> str:
+    """The whole file, line breaks as they are."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"malformed UTF-8 at byte offset {exc.start}",
+                          path=path, line=line) from None
+
+
+def check_cells(cells, path) -> None:
+    """Refuse a cell that a tab-separated line cannot give back: one
+    holding a tab or a line break."""
+    for cell in cells:
+        if "\t" in cell or "\n" in cell or "\r" in cell:
+            raise FormatError(f"cell {cell!r} holds a tab or a line break",
+                              path=path)

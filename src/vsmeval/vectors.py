@@ -23,6 +23,7 @@ from .errors import (
     EmptyInputError,
     FormatError,
 )
+from .textfile import read_lines
 
 
 @dataclass(frozen=True)
@@ -98,46 +99,44 @@ def load_vectors(path, language: str = "und") -> VectorTable:
     Duplicate words keep the last occurrence, with a warning.
     """
     vectors: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        parts = header.split()
-        if len(parts) != 2:
-            raise FormatError("expected header '<vocab_size> <dimension>'",
-                              path=path, line=1)
+    lines = read_lines(path)
+    lineno, header = next(lines, (1, ""))
+    parts = header.split()
+    if len(parts) != 2:
+        raise FormatError("expected header '<vocab_size> <dimension>'",
+                          path=path, line=lineno)
+    try:
+        vocab_size, dimension = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise FormatError("non-integer header fields", path=path, line=lineno)
+    for lineno, line in lines:
+        fields = line.split()
+        if len(fields) != dimension + 1:
+            raise FormatError(
+                f"expected {dimension + 1} fields, got {len(fields)}",
+                path=path, line=lineno,
+            )
+        word = fields[0]
         try:
-            vocab_size, dimension = int(parts[0]), int(parts[1])
+            vec = np.array(fields[1:], dtype=float)
         except ValueError:
-            raise FormatError("non-integer header fields", path=path, line=1)
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != dimension + 1:
-                raise FormatError(
-                    f"expected {dimension + 1} fields, got {len(fields)}",
-                    path=path, line=lineno,
-                )
-            word = fields[0]
-            try:
-                vec = np.array(fields[1:], dtype=float)
-            except ValueError:
-                raise FormatError("unparseable float", path=path, line=lineno)
-            if not np.all(np.isfinite(vec)):
-                raise FormatError(
-                    f"non-finite value in vector for {word!r}",
-                    path=path, line=lineno,
-                )
-            if word in vectors:
-                warnings.warn(
-                    f"duplicate word {word!r} at line {lineno}; "
-                    "keeping the last occurrence"
-                )
-            vectors[word] = vec
-            if len(vectors) > vocab_size:
-                raise FormatError(
-                    f"more than the declared {vocab_size} words",
-                    path=path, line=lineno,
-                )
+            raise FormatError("unparseable float", path=path, line=lineno)
+        if not np.all(np.isfinite(vec)):
+            raise FormatError(
+                f"non-finite value in vector for {word!r}",
+                path=path, line=lineno,
+            )
+        if word in vectors:
+            warnings.warn(
+                f"duplicate word {word!r} at line {lineno}; "
+                "keeping the last occurrence"
+            )
+        vectors[word] = vec
+        if len(vectors) > vocab_size:
+            raise FormatError(
+                f"more than the declared {vocab_size} words",
+                path=path, line=lineno,
+            )
     if len(vectors) != vocab_size:
         raise FormatError(
             f"header declares {vocab_size} words but body has {len(vectors)}",

@@ -5,6 +5,12 @@ from vsmeval.agreement import EvaluationSet
 from vsmeval.scoring import WordPairList
 
 
+# characters a line reader treats specially: the tab, the line breaks \n
+# and \r, other Unicode breaks and spaces, and the comment sign
+LINE_READER_CHARACTERS = ["a", "\u00e4", "\u0416", "#", " ", "\t", "\n", "\r",
+                          "\x0c", "\x85", "\u2028"]
+
+
 def _rescale_to_range(scores, lo=0.0, hi=10.0):
     smin, smax = scores.min(), scores.max()
     return np.clip(lo + (hi - lo) * (scores - smin) / (smax - smin), lo, hi)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.stats import rankdata
 
 from vsmeval import agreement
@@ -22,11 +22,16 @@ from vsmeval.agreement import (
     significance_driver,
     within_language_agreement,
 )
-from vsmeval.errors import AlignmentError, ArgumentError, ValidationError
+from vsmeval.errors import (
+    AlignmentError,
+    ArgumentError,
+    FormatError,
+    ValidationError,
+)
 from vsmeval.scoring import WordPairList
 from vsmeval.stats import column_ranks, spearman
 
-from conftest import make_evalset, synthetic_languages
+from conftest import LINE_READER_CHARACTERS, make_evalset, synthetic_languages
 from oracles import spearman_bruteforce
 
 
@@ -364,7 +369,49 @@ class TestQuintileAnalysis:
         assert all(0.0 <= f <= 1.0 for f in overlap.f_scores)
 
 
+_WORDS = st.text(st.sampled_from(LINE_READER_CHARACTERS), max_size=3)
+
+
+@st.composite
+def _evalsets(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 3))
+    words = draw(st.lists(st.tuples(_WORDS, _WORDS), min_size=n, max_size=n))
+    ids = draw(st.lists(st.integers(-10, 10**6), min_size=n, max_size=n,
+                        unique=True))
+    cell = st.one_of(st.just(np.nan), st.just(-0.0), st.floats(0.0, 10.0))
+    scores = draw(st.lists(st.lists(cell, min_size=m, max_size=m),
+                           min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(c for c in draw(st.sets(st.integers(1, n))) if c < n)
+    batches = tuple(tuple(order[a:b])
+                    for a, b in zip([0, *cuts], [*cuts, n]))
+    return EvaluationSet("en", "drawn", WordPairList("en", tuple(words),
+                                                     tuple(ids)),
+                         np.array(scores, dtype=float), batches)
+
+
 class TestEvaluationSetIO:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[
+        HealthCheck.function_scoped_fixture])
+    @given(evalset=_evalsets())
+    def test_roundtrip_property(self, tmp_path, evalset):
+        path = tmp_path / "set.tsv"
+        path.unlink(missing_ok=True)
+        words = [w for pair in evalset.pairs.pairs for w in pair]
+        if any(c in w for w in words for c in "\t\n\r"):
+            with pytest.raises(FormatError, match="tab or a line break"):
+                save_evaluation_set(evalset, path)
+            assert not path.exists()
+            return
+        save_evaluation_set(evalset, path)
+        again = load_evaluation_set(path)
+        assert again.pairs.pairs == evalset.pairs.pairs
+        assert again.pairs.source_ids == evalset.pairs.source_ids
+        assert again.scores.tobytes() == evalset.scores.tobytes()
+        assert ({frozenset(b) for b in again.batches}
+                == {frozenset(b) for b in evalset.batches})
+
     def test_roundtrip(self, tmp_path, rng):
         evalset = make_evalset(rng.uniform(0, 10, size=(100, 13)),
                                language="it")

@@ -365,3 +365,78 @@ def test_eval_and_quintiles_after_qc_use_present_judgments(tmp_path,
     expected = quintile_fscores_sets(*orders, quintile_block_sizes(100, 5))
     f_scores = [float(row.split("\t")[1]) for row in printed[3:]]
     assert f_scores == pytest.approx(expected)
+
+
+def _cca_argv(ws, *extra):
+    return ["combine", "--method", "cca", "--vectors",
+            f"en={ws / 'vectors.txt'}", f"de={ws / 'vectors_de.txt'}",
+            "--lexicon", str(ws / "lexicon.tsv"), "--out", str(ws / "c.txt"),
+            *extra]
+
+
+def _baseline_argv(ws, *extra):
+    return ["baseline", "--corpus", str(ws / "corpus.txt"),
+            "--evalset", str(ws / "evalset.tsv"), "--k", "10",
+            "--out", str(ws / "b.tsv"), *extra]
+
+
+@pytest.mark.parametrize("make_argv", [
+    lambda ws: ["build-bow", "--corpus", str(ws / "corpus.txt"),
+                "--targets", str(ws / "targets.txt"), "--k", "-3",
+                "--out", str(ws / "x.txt")],
+    lambda ws: ["build-bow", "--corpus", str(ws / "corpus.txt"),
+                "--targets", str(ws / "targets.txt"), "--k", "0",
+                "--out", str(ws / "x.txt")],
+    lambda ws: _cca_argv(ws, "--components", "-2"),
+    lambda ws: _cca_argv(ws, "--components", "0"),
+    lambda ws: _cca_argv(ws, "--eps", "-1"),
+    lambda ws: _cca_argv(ws, "--eps", "nan"),
+    lambda ws: _cca_argv(ws, "--max-dim", "-1"),
+    lambda ws: _cca_argv(ws, "--max-dim", "0"),
+    lambda ws: ["qc", "--scores", str(ws / "evalset.tsv"),
+                "--threshold", "nan", "--out", str(ws / "q.tsv")],
+    lambda ws: _baseline_argv(ws, "--reps", "0", "--seed", "1"),
+    lambda ws: ["sample", "--corpus", str(ws / "corpus.txt"),
+                "--fraction", "0.5", "--seed", "-1",
+                "--out", str(ws / "s.txt")],
+    lambda ws: _baseline_argv(ws, "--seed", "-1"),
+    *[lambda ws, q=q: ["quintiles", "--mode", "within",
+                       "--evalset", f"en={ws / 'evalset.tsv'}",
+                       "--quantiles", q, "--out", str(ws / "q.tsv")]
+      for q in ("0", "-1", "1", "20")],
+], ids=["k-negative", "k-zero", "components-negative", "components-zero",
+        "eps-negative", "eps-nan", "max-dim-negative", "max-dim-zero",
+        "threshold-nan", "reps-zero", "sample-seed-negative",
+        "baseline-seed-negative", "quantiles-0", "quantiles-negative",
+        "quantiles-1", "quantiles-above-batch"])
+def test_out_of_range_numeric_arguments_exit_2(workspace, capsys,
+                                               make_argv):
+    assert main(make_argv(workspace)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_lexicon_without_a_vectors_language_exit_3(workspace, capsys):
+    argv = _cca_argv(workspace)
+    argv[5] = f"fr={workspace / 'vectors_de.txt'}"
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "'fr'" in err and "en, de" in err
+
+
+@pytest.mark.parametrize("command", ["score", "build-bow"])
+@pytest.mark.parametrize("bad_line", [1, 3])
+def test_undecodable_pair_file_exit_3_with_line(workspace, capsys, command,
+                                                bad_line):
+    lines = [b"pair_index\tword1\tword2", b"0\tw0\tw1", b"1\tw2\tw3"]
+    lines[bad_line - 1] += b"\xe4"
+    pairs = workspace / "pairs.tsv"
+    pairs.write_bytes(b"\n".join(lines) + b"\n")
+    if command == "score":
+        argv = ["score", "--vectors", str(workspace / "vectors.txt"),
+                "--pairs", str(pairs), "--out", str(workspace / "s.tsv")]
+    else:
+        argv = ["build-bow", "--corpus", str(workspace / "corpus.txt"),
+                "--targets", str(pairs), "--k", "10",
+                "--out", str(workspace / "v.txt")]
+    assert main(argv) == 3
+    assert f"[{pairs}:{bad_line}]" in capsys.readouterr().err

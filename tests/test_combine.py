@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from vsmeval.combine import (
     BaselineResult,
@@ -27,6 +29,7 @@ from vsmeval.scoring import ScoreVector, WordPairList, score_pairs
 from vsmeval.stats import spearman
 from vsmeval.vectors import VectorTable
 
+from conftest import LINE_READER_CHARACTERS
 from oracles import cca_correlations_eigen
 
 
@@ -263,7 +266,38 @@ class TestCcaModelIO:
             load_cca_model(path)
 
 
+_CELLS = st.text(st.sampled_from(LINE_READER_CHARACTERS), min_size=1,
+                 max_size=3)
+
+
+@st.composite
+def _lexicons(draw):
+    row = st.tuples(*[_CELLS] * draw(st.integers(1, 3)))
+    return TranslationLexicon(draw(row), tuple(draw(st.lists(row,
+                                                             max_size=4))))
+
+
 class TestLexiconIO:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[
+        HealthCheck.function_scoped_fixture])
+    @given(lexicon=_lexicons())
+    @example(lexicon=TranslationLexicon(("en", "de"), (("#tag", "#etikett"),)))
+    def test_roundtrip_property(self, tmp_path, lexicon):
+        path = tmp_path / "lex.tsv"
+        path.unlink(missing_ok=True)
+        lines = [lexicon.languages, *lexicon.rows]
+        broken = any(c in cell for row in lines for cell in row
+                     for c in "\t\n\r")
+        skipped = any(not "".join(row).strip() or row[0].startswith("#")
+                      for row in lines)
+        if broken or skipped:
+            with pytest.raises(FormatError):
+                save_lexicon(lexicon, path)
+            assert not path.exists()
+            return
+        save_lexicon(lexicon, path)
+        assert load_lexicon(path) == lexicon
+
     def test_roundtrip(self, tmp_path):
         lexicon = TranslationLexicon(
             ("en", "de"), (("cat", "katze"), ("dog", "hund"))

@@ -40,9 +40,12 @@ def test_tokenize_sentence_per_line_mode():
     assert corpus.sentences[0] == ("no", "split", "here.", "really")
 
 
-def test_tokenize_bad_utf8_names_offset():
-    with pytest.raises(FormatError, match="byte offset 4"):
-        tokenize_corpus(b"abcd\xff\xfe", "en")
+def test_tokenize_bad_utf8_names_offset(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(b"abcd\xff\xfe")
+    with pytest.raises(FormatError, match="byte offset 4") as info:
+        read_corpus(path, "en")
+    assert f"[{path}:1]" in str(info.value)
 
 
 def test_clean_drops_stopwords_and_nonalpha():
