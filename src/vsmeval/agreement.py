@@ -7,18 +7,16 @@ measured by averaging scores over every 6-annotator subset and
 correlating against the complement (within-language) or against the
 corresponding subset of another language (cross-language).
 
-One engine serves every K-subset path. ``_batch_split_means`` yields one
-batch at a time the pairs x subsets matrices of subset and complement
-means, so only one batch is ever held in memory. Spearman rho is Pearson
-on average ranks; the rank kernel (``stats.column_ranks``) and the
-quintile block counts (``stats.quintile_intersections``) live in
-``stats``, shared with the single-vector statistics.
-
-``significance_driver`` ranks each language's subset-mean and
-complement-mean matrices once per batch and reuses those ranks for all
-within and cross reports: 2 rank computations per language and batch,
-where separate within and cross calls would take 2 per within report and
-2 per cross report (8 against 20 per batch for four languages).
+``_batch_split_means`` yields one batch at a time the pairs x subsets
+matrix of subset means and, where a within report or within-mode
+quintiles need it, of complement means. One engine,
+``_agreement_reports``, walks the batches of all its sets in step, ranks
+each set's subset means once per batch and builds the within reports and
+the cross report of every pair of sets from those ranks;
+``within_language_agreement``, ``cross_language_agreement`` and
+``significance_driver`` all call it. Spearman rho is Pearson on average
+ranks; the rank kernel (``stats.column_ranks``) and the quintile block
+counts (``stats.quintile_intersections``) live in ``stats``.
 """
 
 from __future__ import annotations
@@ -77,10 +75,10 @@ class EvaluationSet:
     def batch_matrix(self, b: int) -> np.ndarray:
         return self.scores[list(self.batches[b]), :]
 
-    def require_complete(self, n_annotators: int = ANNOTATORS_PER_BATCH):
-        if self.n_annotators != n_annotators:
+    def require_complete(self):
+        if self.n_annotators != ANNOTATORS_PER_BATCH:
             raise ArgumentError(
-                f"expected {n_annotators} annotator columns, "
+                f"expected {ANNOTATORS_PER_BATCH} annotator columns, "
                 f"got {self.n_annotators}"
             )
         if not np.all(np.isfinite(self.scores)):
@@ -209,12 +207,6 @@ def _ranked_spearman(
     return np.clip(rho, -1.0, 1.0)
 
 
-def _columnwise_spearman(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Spearman rho per column of two equally shaped n x m matrices;
-    columns with a constant side come back NaN."""
-    return _ranked_spearman(_centred_ranks(a), _centred_ranks(b))
-
-
 def _split_means(scores: np.ndarray, member: np.ndarray, K: int,
                  complement: bool):
     """One batch's subset-averaged score matrix (pairs x subsets) and,
@@ -226,9 +218,8 @@ def _split_means(scores: np.ndarray, member: np.ndarray, K: int,
     return subset_means, (totals - subset_means * K) / (scores.shape[1] - K)
 
 
-def _batch_split_means(
-    evaluation_set: EvaluationSet, K: int, complement: bool = True
-):
+def _batch_split_means(evaluation_set: EvaluationSet, K: int,
+                       complement: bool):
     """``_split_means`` of each batch in order, one batch at a time. The
     generator keeps no reference to a batch it has yielded, so several
     sets can be walked in step while each holds only its current batch."""
@@ -236,14 +227,6 @@ def _batch_split_means(
     for b in range(len(evaluation_set.batches)):
         yield _split_means(evaluation_set.batch_matrix(b), member, K,
                            complement)
-
-
-def _paired_subset_means(set1: EvaluationSet, set2: EvaluationSet, K: int):
-    """Per batch: both sets' averages over the same (same-index) subset."""
-    first = _batch_split_means(set1, K, complement=False)
-    second = _batch_split_means(set2, K, complement=False)
-    for (m1, _), (m2, _) in zip(first, second):
-        yield m1, m2
 
 
 def _report(label: str, rhos) -> AgreementReport:
@@ -262,25 +245,54 @@ def _report(label: str, rhos) -> AgreementReport:
     )
 
 
+def _check_aligned(set1: EvaluationSet, set2: EvaluationSet):
+    if set1.pairs.source_ids != set2.pairs.source_ids:
+        raise AlignmentError("evaluation sets have different pair indices")
+    if set1.batches != set2.batches:
+        raise AlignmentError("evaluation sets have different batch partitions")
+
+
+def _agreement_reports(sets: list[EvaluationSet], K: int, within: bool):
+    """Within reports of ``sets`` (none unless ``within``) and cross
+    reports of every pair, in ``itertools.combinations`` order. Each
+    batch's subset means are ranked once per set; complement means are
+    built only for within reports and their ranks dropped at once, so
+    only the subset ranks of all sets are held together."""
+    for s in sets:
+        s.require_complete()
+    pairs = list(itertools.combinations(range(len(sets)), 2))
+    for i, j in pairs:
+        _check_aligned(sets[i], sets[j])
+    splits = [_batch_split_means(s, K, complement=within) for s in sets]
+    within_rhos = [[] for _ in sets]
+    cross_rhos = [[] for _ in pairs]
+    for _ in sets[0].batches:
+        subset_ranks = []
+        for split, rhos in zip(splits, within_rhos):
+            sub, comp = next(split)
+            sub = _centred_ranks(sub)
+            if within:
+                rhos.append(_ranked_spearman(sub, _centred_ranks(comp)))
+            subset_ranks.append(sub)
+        for (i, j), rhos in zip(pairs, cross_rhos):
+            rhos.append(_ranked_spearman(subset_ranks[i], subset_ranks[j]))
+    within_reports = [_report(f"within:{s.language}", rhos)
+                      for s, rhos in zip(sets, within_rhos)] if within else []
+    cross_reports = [
+        _report(f"cross:{sets[i].language}-{sets[j].language}", rhos)
+        for (i, j), rhos in zip(pairs, cross_rhos)
+    ]
+    return within_reports, cross_reports
+
+
 def within_language_agreement(
     evaluation_set: EvaluationSet, K: int = DEFAULT_SUBSET_SIZE
 ) -> AgreementReport:
     """Per batch and per K-subset: Spearman between the subset's averaged
     pair scores and the complement's. Degenerate (constant) samples are
     dropped and counted rather than imputed."""
-    evaluation_set.require_complete()
-    return _report(
-        f"within:{evaluation_set.language}",
-        (_columnwise_spearman(m1, m2)
-         for m1, m2 in _batch_split_means(evaluation_set, K)),
-    )
-
-
-def _check_aligned(set1: EvaluationSet, set2: EvaluationSet):
-    if set1.pairs.source_ids != set2.pairs.source_ids:
-        raise AlignmentError("evaluation sets have different pair indices")
-    if set1.batches != set2.batches:
-        raise AlignmentError("evaluation sets have different batch partitions")
+    (report,), _ = _agreement_reports([evaluation_set], K, within=True)
+    return report
 
 
 def cross_language_agreement(
@@ -289,14 +301,8 @@ def cross_language_agreement(
     """Per batch and per K-subset S of annotator column indices: Spearman
     between set1's S-averaged scores and set2's scores averaged over the
     corresponding (same-index) subset."""
-    set1.require_complete()
-    set2.require_complete()
-    _check_aligned(set1, set2)
-    return _report(
-        f"cross:{set1.language}-{set2.language}",
-        (_columnwise_spearman(m1, m2)
-         for m1, m2 in _paired_subset_means(set1, set2, K)),
-    )
+    _, (report,) = _agreement_reports([set1, set2], K, within=False)
+    return report
 
 
 def agreement_significance(
@@ -315,49 +321,22 @@ def significance_driver(
     every language pair's cross-agreement samples.
 
     Four languages give 4 within reports x 6 unordered pairs = 24 tests.
-    Keys are (within_language, pair_language_1, pair_language_2). The
-    reports equal ``within_language_agreement`` and
-    ``cross_language_agreement`` bit for bit, but each batch's subset and
-    complement means are ranked once per language and shared by all of
-    them.
+    Keys are (within_language, pair_language_1, pair_language_2).
     """
     if not sets:
         return {}
-    for s in sets:
-        s.require_complete()
-    pairs = list(itertools.combinations(range(len(sets)), 2))
-    for i, j in pairs:
-        _check_aligned(sets[i], sets[j])
-    splits = [_batch_split_means(s, K) for s in sets]
-    within_rhos = [[] for _ in sets]
-    cross_rhos = {pair: [] for pair in pairs}
-    for _ in sets[0].batches:
-        # a language's complement ranks serve only its within report, so
-        # only the subset ranks of all languages are held at once
-        subset_ranks = []
-        for split, rhos in zip(splits, within_rhos):
-            sub, comp = map(_centred_ranks, next(split))
-            rhos.append(_ranked_spearman(sub, comp))
-            subset_ranks.append(sub)
-        for (i, j), rhos in cross_rhos.items():
-            rhos.append(_ranked_spearman(subset_ranks[i], subset_ranks[j]))
-    within = {
-        s.language: _report(f"within:{s.language}", rhos)
-        for s, rhos in zip(sets, within_rhos)
-    }
+    within_reports, cross_reports = _agreement_reports(sets, K, within=True)
+    within = {s.language: r for s, r in zip(sets, within_reports)}
     cross = {
-        (sets[i].language, sets[j].language): _report(
-            f"cross:{sets[i].language}-{sets[j].language}", rhos
-        )
-        for (i, j), rhos in cross_rhos.items()
+        (s1.language, s2.language): r
+        for (s1, s2), r in zip(itertools.combinations(sets, 2),
+                               cross_reports)
     }
-    results = {}
-    for lang, w_report in within.items():
-        for pair, c_report in cross.items():
-            results[(lang, *pair)] = agreement_significance(
-                w_report, c_report
-            )
-    return results
+    return {
+        (lang, *pair): agreement_significance(w_report, c_report)
+        for lang, w_report in within.items()
+        for pair, c_report in cross.items()
+    }
 
 
 def quintile_agreement_analysis(
@@ -376,11 +355,13 @@ def quintile_agreement_analysis(
     within_mode = set2 is None or set2 is set1
     set1.require_complete()
     if within_mode:
-        splits = _batch_split_means(set1, K)
+        splits = _batch_split_means(set1, K, complement=True)
     else:
         set2.require_complete()
         _check_aligned(set1, set2)
-        splits = _paired_subset_means(set1, set2, K)
+        splits = ((m1, m2) for (m1, _), (m2, _) in zip(
+            _batch_split_means(set1, K, complement=False),
+            _batch_split_means(set2, K, complement=False)))
     # a scalar start leaves the checks on q to the kernel
     f_sums, count = 0.0, 0
     for m1, m2 in splits:
@@ -406,9 +387,7 @@ def human_mean_scores(evaluation_set: EvaluationSet) -> ScoreVector:
         idx: float(means[pos])
         for pos, idx in enumerate(evaluation_set.pairs.source_ids)
     }
-    return ScoreVector(
-        scores=scores, provenance=f"human:{evaluation_set.language}"
-    )
+    return ScoreVector(scores=scores)
 
 
 def load_evaluation_set(
@@ -462,6 +441,9 @@ def load_evaluation_set(
 
 def save_evaluation_set(evaluation_set: EvaluationSet, path,
                         header_lines=()) -> None:
+    if evaluation_set.n_annotators == 0:
+        raise FormatError("an evaluation set needs an annotator column",
+                          path=path)
     for pair in evaluation_set.pairs.pairs:
         check_cells(pair, path)
     n_annot = evaluation_set.n_annotators
@@ -514,6 +496,11 @@ def apply_outlier_filter(
                     j for j in range(matrix.shape[1]) if j not in kept
                 ),
                 statistics=result.statistics,
+            )
+        if not result.kept:
+            raise ValidationError(
+                f"threshold {threshold!r} keeps no annotator of "
+                f"batch {b}"
             )
         results[b] = result
         kept_per_batch.append(result.kept)

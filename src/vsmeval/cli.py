@@ -126,8 +126,12 @@ def _target_words(path):
     """Target list for BOW rows: a plain wordlist or a pair file."""
     if len(_first_row(path)) > 1:
         pairs = _load_pairs_or_evalset(path, "und")
-        return sorted({w for p in pairs.pairs for w in p})
-    return list(read_wordlist(path))
+        words = sorted({w for p in pairs.pairs for w in p})
+    else:
+        words = list(read_wordlist(path))
+    if not words:
+        raise FormatError("no target word", path=path)
+    return words
 
 
 def cmd_build_bow(args) -> int:
@@ -239,7 +243,7 @@ def cmd_quintiles(args) -> int:
         paths, (evaluation_set,) = _load_tagged(args.evalset,
                                                 load_evaluation_set)
         model, human = align_scores(
-            read_scores(args.scores, provenance="model"),
+            read_scores(args.scores),
             human_mean_scores(evaluation_set),
         )
         if len(model.scores) < args.quantiles:
@@ -265,8 +269,8 @@ def cmd_combine(args) -> int:
         if not args.scores or len(args.scores) != 2:
             raise ArgumentError("li needs exactly two --scores files")
         s1, s2 = align_scores(
-            read_scores(args.scores[0], provenance="model1"),
-            read_scores(args.scores[1], provenance="model2"),
+            read_scores(args.scores[0]),
+            read_scores(args.scores[1]),
         )
         if not s1.scores:
             raise AlignmentError("score files share no pair indices")

@@ -78,10 +78,7 @@ def interpolate_scores(
         idx: lam * s1.scores[idx] + (1.0 - lam) * s2.scores[idx]
         for idx in s1.scores
     }
-    return ScoreVector(
-        scores=combined,
-        provenance=f"li({lam}):{s1.provenance}+{s2.provenance}",
-    )
+    return ScoreVector(scores=combined)
 
 
 def _isqrt_psd(c: np.ndarray) -> np.ndarray:
@@ -243,13 +240,10 @@ def project_concat(
     """
     if side not in (None, "l1", "l2"):
         raise ArgumentError(f"side must be None, 'l1' or 'l2', got {side!r}")
+    X, Y, _, _ = aligned_matrices(t1, t2, lexicon,
+                                  normalize=model.normalize_rows)
     w1 = lexicon.column(t1.language)
     w2 = lexicon.column(t2.language)
-    X = _gather(t1, w1)
-    Y = _gather(t2, w2)
-    if model.normalize_rows:
-        X = _unit_rows(X)
-        Y = _unit_rows(Y)
     vectors: dict[str, np.ndarray] = {}
     aliases: dict[str, str] = {}
     for a, b, x, y in zip(w1, w2, X, Y):
@@ -282,11 +276,10 @@ def monolingual_baseline(
     fraction: float = 0.8,
     reps: int = 5,
     seed: int = 0,
-    lam: float = 0.5,
-    cca_eps: float = 1e-8,
 ) -> BaselineResult:
     """Combine two models trained on independent ``fraction`` resamples of
     the same corpus and correlate with human scores, averaged over reps.
+    "li" interpolates with lambda 0.5; "cca" regularises with eps 1e-8.
 
     ``build`` maps a Corpus to a VectorTable. Repetitions whose coverage
     collapses (fewer than 2 common covered pairs, or a constant score
@@ -312,7 +305,7 @@ def monolingual_baseline(
                     score_pairs(m1, pairs, oov_policy="skip"),
                     score_pairs(m2, pairs, oov_policy="skip"),
                 )
-                combined = interpolate_scores(s1, s2, lam)
+                combined = interpolate_scores(s1, s2, 0.5)
             else:
                 words = sorted(
                     {w for p in pairs.pairs for w in p
@@ -322,7 +315,7 @@ def monolingual_baseline(
                     languages=(m1.language, m2.language),
                     rows=tuple((w, w) for w in words),
                 )
-                model = fit_cca_tables(m1, m2, lexicon, eps=cca_eps)
+                model = fit_cca_tables(m1, m2, lexicon, eps=1e-8)
                 table, aliases = project_concat(m1, m2, lexicon, model)
                 combined = score_pairs(table, pairs, oov_policy="skip",
                                        aliases=aliases)

@@ -32,17 +32,12 @@ class WordPairList:
 @dataclass
 class ScoreVector:
     scores: dict[int, float]  # pair index -> score
-    provenance: str
     skipped: dict[int, tuple[str, ...]] = field(default_factory=dict)
     degenerate: frozenset[int] = frozenset()  # zero-norm cosine pairs
 
-    def indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.scores))
-
-    def as_array(self, indices=None) -> np.ndarray:
-        if indices is None:
-            indices = self.indices()
-        return np.array([self.scores[i] for i in indices])
+    def as_array(self) -> np.ndarray:
+        """The scores in ascending pair-index order."""
+        return np.array([self.scores[i] for i in sorted(self.scores)])
 
 
 _TINY = np.finfo(float).tiny  # smallest normal double
@@ -115,7 +110,6 @@ def score_pairs(
         scores[idx] = value
     return ScoreVector(
         scores=scores,
-        provenance=f"cosine:{table.language}",
         skipped=skipped,
         degenerate=frozenset(degenerate),
     )
@@ -125,12 +119,10 @@ def align_scores(
     a: ScoreVector, b: ScoreVector
 ) -> tuple[ScoreVector, ScoreVector]:
     """``a`` and ``b`` restricted to the pair indices they share, each in
-    ascending index order and keeping its provenance."""
+    ascending index order."""
     common = sorted(set(a.scores) & set(b.scores))
-    return (
-        ScoreVector({i: a.scores[i] for i in common}, a.provenance),
-        ScoreVector({i: b.scores[i] for i in common}, b.provenance),
-    )
+    return (ScoreVector({i: a.scores[i] for i in common}),
+            ScoreVector({i: b.scores[i] for i in common}))
 
 
 def read_pair_list(path, language: str = "und") -> WordPairList:
@@ -174,7 +166,7 @@ def write_scores(scores: ScoreVector, pairs: WordPairList, path,
             fh.write(f"#OOV\t{idx}\t{w1}\t{w2}\t{missing}\n")
 
 
-def read_scores(path, provenance: str = "file") -> ScoreVector:
+def read_scores(path) -> ScoreVector:
     scores: dict[int, float] = {}
     skipped: dict[int, tuple[str, ...]] = {}
     for lineno, line in read_lines(path):
@@ -194,4 +186,4 @@ def read_scores(path, provenance: str = "file") -> ScoreVector:
         except ValueError:
             raise FormatError("non-numeric pair index or score",
                               path=path, line=lineno)
-    return ScoreVector(scores=scores, provenance=provenance, skipped=skipped)
+    return ScoreVector(scores=scores, skipped=skipped)

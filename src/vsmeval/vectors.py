@@ -109,6 +109,8 @@ def load_vectors(path, language: str = "und") -> VectorTable:
         vocab_size, dimension = int(parts[0]), int(parts[1])
     except ValueError:
         raise FormatError("non-integer header fields", path=path, line=lineno)
+    if vocab_size < 0 or dimension < 0:
+        raise FormatError("negative header field", path=path, line=lineno)
     for lineno, line in lines:
         fields = line.split()
         if len(fields) != dimension + 1:

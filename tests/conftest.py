@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from vsmeval.agreement import EvaluationSet
 from vsmeval.scoring import WordPairList
@@ -9,6 +10,18 @@ from vsmeval.scoring import WordPairList
 # and \r, other Unicode breaks and spaces, and the comment sign
 LINE_READER_CHARACTERS = ["a", "\u00e4", "\u0416", "#", " ", "\t", "\n", "\r",
                           "\x0c", "\x85", "\u2028"]
+
+
+@st.composite
+def damaged(draw, data: bytes):
+    """Arbitrary bytes, or ``data`` with one byte replaced or inserted."""
+    kind = draw(st.sampled_from(["bytes", "replace", "insert"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=120))
+    replace = kind == "replace"
+    pos = draw(st.integers(0, len(data) - replace))
+    byte = draw(st.binary(min_size=1, max_size=1))
+    return data[:pos] + byte + data[pos + replace:]
 
 
 def _rescale_to_range(scores, lo=0.0, hi=10.0):

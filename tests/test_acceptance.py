@@ -223,8 +223,8 @@ def test_interpolation_efficacy():
         noise = math.sqrt(3.0)
         m1 = reference + noise * rng.normal(size=n)
         m2 = reference + noise * rng.normal(size=n)
-        s1 = ScoreVector(dict(enumerate(m1)), "m1")
-        s2 = ScoreVector(dict(enumerate(m2)), "m2")
+        s1 = ScoreVector(dict(enumerate(m1)))
+        s2 = ScoreVector(dict(enumerate(m2)))
         combined = interpolate_scores(s1, s2, 0.5)
         idx = range(n)
         rho1 = spearman([s1.scores[i] for i in idx], reference)

@@ -8,7 +8,8 @@ from scipy.stats import rankdata
 from vsmeval import agreement
 from vsmeval.agreement import (
     EvaluationSet,
-    _columnwise_spearman,
+    _centred_ranks,
+    _ranked_spearman,
     apply_outlier_filter,
     agreement_significance,
     cross_language_agreement,
@@ -220,7 +221,7 @@ class TestDegenerateSamples:
         b = rng.uniform(0, 10, size=(20, 4))
         a[:, 1] = 3.0
         b[:, 2] = 7.0
-        rho = _columnwise_spearman(a, b)
+        rho = _ranked_spearman(_centred_ranks(a), _centred_ranks(b))
         assert np.isnan(rho[[1, 2]]).all()
         assert np.isfinite(rho[[0, 3]]).all()
 
@@ -422,6 +423,13 @@ class TestEvaluationSetIO:
         assert again.batches == evalset.batches
         assert np.array_equal(again.scores, evalset.scores)
 
+    def test_set_without_annotator_columns_not_saved(self, tmp_path):
+        evalset = make_evalset(np.empty((4, 0)), batch_size=2)
+        path = tmp_path / "set.tsv"
+        with pytest.raises(FormatError, match="annotator column"):
+            save_evaluation_set(evalset, path)
+        assert not path.exists()
+
     def test_score_range_validation(self, rng):
         with pytest.raises(ValidationError):
             make_evalset(np.full((5, 13), 11.0), batch_size=5)
@@ -471,6 +479,15 @@ class TestOutlierFilter:
         cleaned, results = apply_outlier_filter(evalset)
         assert results[0].excluded == ()
         assert np.array_equal(cleaned.scores, evalset.scores)
+
+    @pytest.mark.parametrize("threshold, iterate", [(-1.0, False),
+                                                    (0.0, True)])
+    def test_batch_left_without_annotator_refused(self, threshold, iterate):
+        evalset = self._planted()
+        with pytest.raises(ValidationError,
+                           match=f"threshold {threshold!r} .* batch 0"):
+            apply_outlier_filter(evalset, threshold=threshold,
+                                 iterate=iterate)
 
     def test_iterate_mode_reaches_fixpoint(self):
         cleaned, results = apply_outlier_filter(self._planted(),

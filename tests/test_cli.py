@@ -2,10 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from vsmeval.agreement import load_evaluation_set, save_evaluation_set
 from vsmeval.cli import main
@@ -15,7 +18,7 @@ from vsmeval.scoring import read_scores
 from vsmeval.stats import quintile_block_sizes
 from vsmeval.vectors import VectorTable, load_vectors, save_vectors
 
-from conftest import build_cli_workspace, make_evalset
+from conftest import build_cli_workspace, damaged, make_evalset
 from oracles import quintile_fscores_sets, spearman_bruteforce
 
 
@@ -440,3 +443,96 @@ def test_undecodable_pair_file_exit_3_with_line(workspace, capsys, command,
                 "--out", str(workspace / "v.txt")]
     assert main(argv) == 3
     assert f"[{pairs}:{bad_line}]" in capsys.readouterr().err
+
+
+def test_qc_excluding_every_annotator_exit_2(workspace, capsys):
+    out = workspace / "q.tsv"
+    assert main(["qc", "--scores", str(workspace / "evalset.tsv"),
+                 "--threshold", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "threshold -1.0" in err and "batch 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text", ["", "\n \n\t\n", "pair_index\tword1\tword2\n"],
+    ids=["empty", "blank-lines", "pair-header-only"])
+def test_build_bow_without_target_words_exit_3(workspace, capsys, text):
+    targets = workspace / "no_targets.txt"
+    targets.write_text(text)
+    assert main(["build-bow", "--corpus", str(workspace / "corpus.txt"),
+                 "--targets", str(targets), "--k", "10",
+                 "--out", str(workspace / "v.txt")]) == 3
+    assert f"no target word [{targets}]" in capsys.readouterr().err
+
+
+def _fuzz_cases(ws):
+    """Per command: its argv without --out, and the input files that
+    the property damages."""
+    ev, ev_de = ws / "evalset.tsv", ws / "evalset_de.tsv"
+    v, v_de = ws / "vectors.txt", ws / "vectors_de.txt"
+    lex = ws / "lexicon.tsv"
+    s1, s2 = ws / "s1.tsv", ws / "s2.tsv"
+    cross = ["--evalset", f"en={ev}", "--evalset", f"de={ev_de}"]
+    return {
+        "score": (["score", "--vectors", str(v), "--pairs", str(ev)], [v, ev]),
+        "eval": (["eval", "--vectors", str(v), "--evalset", str(ev)],
+                 [v, ev]),
+        "agree-within": (["agree", "--mode", "within", "--evalset",
+                          f"en={ev}"], [ev]),
+        "agree-cross": (["agree", "--mode", "cross", *cross], [ev, ev_de]),
+        "quintiles-within": (["quintiles", "--mode", "within", "--evalset",
+                              f"en={ev}"], [ev]),
+        "quintiles-cross": (["quintiles", "--mode", "cross", *cross],
+                            [ev, ev_de]),
+        "quintiles-model-human": (["quintiles", "--mode", "model-human",
+                                   "--scores", str(s1), "--evalset",
+                                   f"en={ev}"], [s1, ev]),
+        "combine-li": (["combine", "--method", "li", "--scores", str(s1),
+                        str(s2)], [s1, s2]),
+        "combine-cca": (["combine", "--method", "cca", "--vectors", f"en={v}",
+                         f"de={v_de}", "--lexicon", str(lex)],
+                        [v, v_de, lex]),
+        "qc": (["qc", "--scores", str(ev), "--log", str(ws / "log.tsv")],
+               [ev]),
+        "coverage": (["coverage", "--vectors", f"en={v}", "--evalset",
+                      f"en={ev}"], [v, ev]),
+    }
+
+
+@st.composite
+def _one_damaged_file(draw, originals):
+    """The position of one input file and its damaged bytes."""
+    i = draw(st.integers(0, len(originals) - 1))
+    return i, draw(damaged(originals[i]))
+
+
+@pytest.mark.parametrize("command", sorted(_fuzz_cases(Path("."))))
+def test_cli_on_a_damaged_input_exits_0_2_3_or_4(workspace, command):
+    ev = workspace / "evalset.tsv"
+    (workspace / "evalset_de.tsv").write_bytes(ev.read_bytes())
+    for vectors, scores in (("vectors.txt", "s1.tsv"),
+                            ("vectors_de.txt", "s2.tsv")):
+        assert main(["score", "--vectors", str(workspace / vectors),
+                     "--pairs", str(ev),
+                     "--out", str(workspace / scores)]) == 0
+    argv, inputs = _fuzz_cases(workspace)[command]
+    out = str(workspace / "out.tsv")
+    originals = [path.read_bytes() for path in inputs]
+
+    @settings(max_examples=40, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    # one-byte damage of the workspace never makes a negative vector header
+    @example(damage=(0, b"0 -1\n"))
+    @given(damage=_one_damaged_file(originals))
+    def check(damage):
+        i, data = damage
+        inputs[i].write_bytes(data)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # duplicate vector words
+                assert main([*argv, "--out", out]) in (0, 2, 3, 4)
+        finally:
+            inputs[i].write_bytes(originals[i])
+
+    check()

@@ -33,8 +33,8 @@ from conftest import LINE_READER_CHARACTERS
 from oracles import cca_correlations_eigen
 
 
-def _sv(values, provenance="m"):
-    return ScoreVector(dict(enumerate(values)), provenance)
+def _sv(values):
+    return ScoreVector(dict(enumerate(values)))
 
 
 class TestInterpolation:
@@ -341,7 +341,6 @@ class TestMonolingualBaseline:
         )
         human = ScoreVector(
             {i: float(v) for i, v in enumerate(rng.uniform(0, 10, 6))},
-            "human",
         )
         return corpus, pairs, human, words
 

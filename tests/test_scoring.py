@@ -164,8 +164,7 @@ def test_uniform_table_scaling_keeps_scores(rng):
 
 def test_score_tsv_roundtrip(tmp_path):
     pairs = _pairlist([("a", "b"), ("c", "d"), ("e", "f")])
-    scores = ScoreVector({0: 0.5, 2: -0.25}, "m",
-                         skipped={1: ("c",)})
+    scores = ScoreVector({0: 0.5, 2: -0.25}, skipped={1: ("c",)})
     path = tmp_path / "scores.tsv"
     write_scores(scores, pairs, path)
     again = read_scores(path)

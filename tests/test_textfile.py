@@ -2,7 +2,6 @@ import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from vsmeval.agreement import load_evaluation_set
 from vsmeval.combine import load_cca_model, load_lexicon
@@ -11,6 +10,8 @@ from vsmeval.errors import FormatError, VsmevalError
 from vsmeval.scoring import read_pair_list, read_scores
 from vsmeval.textfile import read_lines, read_text
 from vsmeval.vectors import load_vectors
+
+from conftest import damaged
 
 # one valid file per reader, with non-ASCII words where the format has words
 READERS = {
@@ -76,19 +77,6 @@ def test_lexicon_error_names_the_physical_line(tmp_path):
         load_lexicon(path)
 
 
-@st.composite
-def _damaged(draw, text):
-    """Arbitrary bytes, or ``text`` with one byte replaced or inserted."""
-    data = text.encode("utf-8")
-    kind = draw(st.sampled_from(["bytes", "replace", "insert"]))
-    if kind == "bytes":
-        return draw(st.binary(max_size=120))
-    replace = kind == "replace"
-    pos = draw(st.integers(0, len(data) - replace))
-    byte = draw(st.binary(min_size=1, max_size=1))
-    return data[:pos] + byte + data[pos + replace:]
-
-
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_readers_return_or_raise_toolkit_errors(tmp_path, name):
     reader, text = READERS[name]
@@ -96,7 +84,7 @@ def test_readers_return_or_raise_toolkit_errors(tmp_path, name):
 
     @settings(max_examples=40, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(_damaged(text))
+    @given(damaged(text.encode("utf-8")))
     def check(data):
         path.write_bytes(data)
         with warnings.catch_warnings():

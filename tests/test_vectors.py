@@ -54,6 +54,16 @@ def test_header_body_mismatch(tmp_path):
         load_vectors(path)
 
 
+@pytest.mark.parametrize("text", ["0 -1\n", "-1 0\n", "-2 3\na 1 0 0\n"],
+                         ids=["dimension", "vocabulary", "with-body"])
+def test_negative_header_field_names_line(tmp_path, text):
+    path = tmp_path / "v.txt"
+    path.write_text(text)
+    with pytest.raises(FormatError,
+                       match=f"negative header field \\[{path}:1]"):
+        load_vectors(path)
+
+
 def test_nonfinite_value_rejected(tmp_path):
     path = tmp_path / "v.txt"
     path.write_text("1 2\na nan 0\n")
