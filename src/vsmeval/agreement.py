@@ -109,7 +109,8 @@ class AgreementReport:
 class OutlierResult:
     kept: tuple[int, ...]
     excluded: tuple[int, ...]
-    statistics: np.ndarray  # per-annotator outlier statistic
+    statistics: np.ndarray  # outlier statistic of each screened column
+    screened: tuple[int, ...]  # the column of each statistic
 
 
 def screen_annotators(
@@ -168,7 +169,8 @@ def detect_outliers(
             stats[j] = diff / spread
     excluded = tuple(int(j) for j in range(m) if stats[j] > threshold)
     kept = tuple(int(j) for j in range(m) if stats[j] <= threshold)
-    return OutlierResult(kept=kept, excluded=excluded, statistics=stats)
+    return OutlierResult(kept=kept, excluded=excluded, statistics=stats,
+                         screened=tuple(range(m)))
 
 
 def enumerate_subsets(n: int = 13, k: int = DEFAULT_SUBSET_SIZE):
@@ -476,27 +478,29 @@ def apply_outlier_filter(
     Default is the single-pass mode (statistics computed before any
     exclusion); ``iterate`` repeats until a fixpoint. The cleaned set
     keeps each batch's surviving columns left-packed; shorter batches are
-    NaN-padded so the table stays rectangular.
+    NaN-padded so the table stays rectangular. A column with no judgment
+    in a batch is such padding, not an annotator, and is not screened.
     """
     results: dict[int, OutlierResult] = {}
     kept_per_batch = []
     for b in range(len(evaluation_set.batches)):
         matrix = evaluation_set.batch_matrix(b)
-        result = detect_outliers(matrix, threshold)
+        present = np.flatnonzero(~np.isnan(matrix).all(axis=0)).tolist()
+        # C order, as the batch itself: the means then sum the same way
+        result = detect_outliers(np.ascontiguousarray(matrix[:, present]),
+                                 threshold)
+        kept = [present[j] for j in result.kept]
+        excluded = [present[j] for j in result.excluded]
         if iterate:
-            kept = list(result.kept)
             while len(kept) >= 3:
                 sub = detect_outliers(matrix[:, kept], threshold)
                 if not sub.excluded:
                     break
                 kept = [kept[j] for j in sub.kept]
-            result = OutlierResult(
-                kept=tuple(kept),
-                excluded=tuple(
-                    j for j in range(matrix.shape[1]) if j not in kept
-                ),
-                statistics=result.statistics,
-            )
+            excluded = [j for j in present if j not in kept]
+        result = OutlierResult(kept=tuple(kept), excluded=tuple(excluded),
+                               statistics=result.statistics,
+                               screened=tuple(present))
         if not result.kept:
             raise ValidationError(
                 f"threshold {threshold!r} keeps no annotator of "

@@ -9,6 +9,7 @@ each of the k most frequent corpus words.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -51,19 +52,24 @@ def count_cooccurrences(
     row_words = tuple(sorted(set(targets)))
     row_index = {w: i for i, w in enumerate(row_words)}
     col_index = {w: j for j, w in enumerate(col_words)}
-    counts = np.zeros((len(row_words), k), dtype=np.int64)
-    for sent in corpus.sentences:
-        rows = np.array([row_index.get(t, -1) for t in sent], dtype=np.int64)
-        cols = np.array([col_index.get(t, -1) for t in sent], dtype=np.int64)
-        n = len(sent)
-        for d in range(1, min(window, n - 1) + 1):
-            # token at i with token at i+d, in both role assignments
-            left_r, right_c = rows[:-d], cols[d:]
-            mask = (left_r >= 0) & (right_c >= 0)
-            np.add.at(counts, (left_r[mask], right_c[mask]), 1)
-            right_r, left_c = rows[d:], cols[:-d]
-            mask = (right_r >= 0) & (left_c >= 0)
-            np.add.at(counts, (right_r[mask], left_c[mask]), 1)
+    tokens = [t for sent in corpus.sentences for t in sent]
+    rows = np.fromiter(map(row_index.get, tokens, repeat(-1)), np.int64,
+                       count=len(tokens))
+    cols = np.fromiter(map(col_index.get, tokens, repeat(-1)), np.int64,
+                       count=len(tokens))
+    lengths = np.fromiter(map(len, corpus.sentences), np.int64,
+                          count=len(corpus.sentences))
+    sentence = np.repeat(np.arange(len(lengths)), lengths)
+    longest = int(lengths.max(initial=0))
+    keys = [np.zeros(0, dtype=np.int64)]
+    for d in range(1, min(window, longest - 1) + 1):
+        same = sentence[:-d] == sentence[d:]
+        # token at i with token at i+d, in both role assignments
+        for r, c in ((rows[:-d], cols[d:]), (rows[d:], cols[:-d])):
+            hit = same & (r >= 0) & (c >= 0)
+            keys.append(r[hit] * k + c[hit])
+    counts = np.bincount(np.concatenate(keys), minlength=len(row_words) * k)
+    counts = counts.astype(np.int64, copy=False).reshape(len(row_words), k)
     return CountMatrix(
         row_words=row_words, col_words=col_words, counts=counts, window=window,
         language=corpus.language,

@@ -327,7 +327,7 @@ def cmd_qc(args) -> int:
         rows = []
         for b in sorted(results):
             result = results[b]
-            for j, stat in enumerate(result.statistics):
+            for j, stat in zip(result.screened, result.statistics):
                 verdict = "excluded" if j in result.excluded else "kept"
                 rows.append(f"{b}\ta{j + 1:02d}\t{_fmt(stat)}\t{verdict}")
         _write_tsv(args.log, manifest, header, rows)

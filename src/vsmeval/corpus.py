@@ -95,7 +95,8 @@ def clean_tokens(
 
     "Alphabetic" is Unicode letter classification (str.isalpha), so
     Cyrillic and umlauted words survive. Stopword filtering runs before
-    stemming.
+    stemming. The stemmer is called once per distinct surviving token, so
+    it must be a pure ``str -> str`` function.
     """
     if stopwords is None:
         stopwords = ENGLISH_STOPWORDS
@@ -103,13 +104,12 @@ def clean_tokens(
         stopwords = frozenset(stopwords)
     if stemmer is None:
         stemmer = porter_stem
+    types = {tok for sent in corpus.sentences for tok in sent}
+    stem_of = {tok: stemmer(tok) for tok in types
+               if tok.isalpha() and tok not in stopwords}
     sentences = []
     for sent in corpus.sentences:
-        kept = tuple(
-            stemmer(tok)
-            for tok in sent
-            if tok.isalpha() and tok not in stopwords
-        )
+        kept = tuple(stem_of[tok] for tok in sent if tok in stem_of)
         if kept:
             sentences.append(kept)
     return Corpus(language=corpus.language, sentences=tuple(sentences))

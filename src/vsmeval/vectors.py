@@ -120,7 +120,7 @@ def load_vectors(path, language: str = "und") -> VectorTable:
             )
         word = fields[0]
         try:
-            vec = np.array(fields[1:], dtype=float)
+            vec = _parse_cells(fields[1:], dimension)
         except ValueError:
             raise FormatError("unparseable float", path=path, line=lineno)
         if not np.all(np.isfinite(vec)):
@@ -156,10 +156,40 @@ def save_vectors(table: VectorTable, path) -> None:
         if word.split() != [word]:
             raise FormatError(f"word {word!r} is empty or contains "
                               "whitespace", path=path)
+    nonzero = table.matrix != 0
+    sparse = np.count_nonzero(nonzero, axis=1) * 2 < table.dimension
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(table)} {table.dimension}\n")
-        for word, row in zip(table.words, table.matrix):
-            fh.write(word + " " + " ".join(map(repr, row.tolist())) + "\n")
+        for word, row, row_nonzero, few in zip(table.words, table.matrix,
+                                               nonzero, sparse):
+            cells = (_sparse_cells(row, row_nonzero) if few
+                     else map(repr, row.tolist()))
+            fh.write(word + " " + " ".join(cells) + "\n")
+
+
+def _sparse_cells(row: np.ndarray, nonzero: np.ndarray) -> list[str]:
+    """The ``repr`` of every cell of a mostly zero row, formatting only
+    its non-zeros."""
+    cells = ["0.0"] * len(row)
+    for j in np.flatnonzero(np.signbit(row) & ~nonzero).tolist():
+        cells[j] = "-0.0"
+    where = np.flatnonzero(nonzero)
+    for j, value in zip(where.tolist(), row[where].tolist()):
+        cells[j] = repr(value)
+    return cells
+
+
+def _parse_cells(cells: list[str], dimension: int) -> np.ndarray:
+    """The floats of one vector line, each parsed by ``float`` as numpy
+    would. When most cells are ``0.0`` only the others are parsed, into a
+    zero vector."""
+    if cells.count("0.0") * 2 <= dimension:
+        return np.fromiter(map(float, cells), float, count=dimension)
+    text = np.array(cells, dtype=object)
+    where = np.flatnonzero(text != "0.0")
+    vec = np.zeros(dimension)
+    vec[where] = list(map(float, text[where].tolist()))
+    return vec
 
 
 def vocabulary_coverage(tables, eval_sets) -> CoverageReport:

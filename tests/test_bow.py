@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vsmeval.bow import count_cooccurrences, ppmi_transform, CountMatrix
 from vsmeval.corpus import Corpus, build_vocabulary
@@ -56,6 +58,45 @@ def test_counts_match_bruteforce_enumerator(rng):
         for i, w in enumerate(m.row_words):
             for j, c in enumerate(m.col_words):
                 assert m.counts[i, j] == expected.get((w, c), 0)
+
+
+@st.composite
+def _counting_cases(draw):
+    """(sentences, targets, k, window): a few short sentences over a tiny
+    vocabulary, so tokens often repeat next to themselves, with windows up
+    to beyond the longest sentence."""
+    words = ["a", "b", "c", "d", "e"]
+    sentences = draw(st.lists(
+        st.lists(st.sampled_from(words), min_size=1, max_size=6)
+        .map(tuple), max_size=6))
+    targets = draw(st.sets(st.sampled_from(words + ["z"])))
+    types = len({t for s in sentences for t in s})
+    k = draw(st.integers(1, max(types, 1)))
+    window = draw(st.integers(1, 8))
+    return tuple(sentences), targets, k, window
+
+
+@settings(deadline=None, max_examples=150)
+@given(_counting_cases())
+@example(((), {"a"}, 1, 2))
+@example(((("a",), ("a", "a"), ("b", "a")), {"a", "b"}, 2, 1))
+@example(((("a", "a", "a"),), {"a"}, 1, 8))
+def test_counts_equal_bruteforce_property(case):
+    sentences, targets, k, window = case
+    corpus = Corpus("en", sentences)
+    if corpus.token_count == 0:
+        # an empty corpus has no vocabulary to take contexts from
+        vocab = build_vocabulary(Corpus("en", (("a",),)))
+    else:
+        vocab = build_vocabulary(corpus)
+    m = count_cooccurrences(corpus, targets, vocab, k, window)
+    expected = cooccurrence_bruteforce(sentences, m.row_words, m.col_words,
+                                       window)
+    assert m.counts.dtype == np.int64
+    assert m.counts.shape == (len(targets), k)
+    assert {(w, c): int(m.counts[i, j])
+            for i, w in enumerate(m.row_words)
+            for j, c in enumerate(m.col_words) if m.counts[i, j]} == expected
 
 
 def test_count_symmetry_between_roles():

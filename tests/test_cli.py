@@ -320,19 +320,24 @@ def test_malformed_numbers_are_located_format_errors(tmp_path, loader, text,
         loader(path)
 
 
-def test_eval_and_quintiles_after_qc_use_present_judgments(tmp_path,
-                                                           capsys):
-    # every annotator mean of a batch is 4.0 until annotator 0 of batch 0
-    # is shifted: qc keeps 12 and 13 annotators, so batch 0's rows of the
-    # cleaned set end in an empty cell
-    rng = np.random.default_rng(4)
+def _planted_qc_set(rng, path):
+    """Save a 100x13 set whose annotator means are all 4.0 in each batch,
+    until annotator 0 of batch 0 is shifted; return its pair words."""
     scores = np.clip(4.0 + rng.normal(0, 0.4, size=(100, 13)), 0, 10)
     for batch in (scores[:50], scores[50:]):
         batch += 4.0 - batch.mean(axis=0)
     scores[:50, 0] = np.clip(scores[:50, 0] + 5.0, 0, 10)
     words = tuple((f"w{i}a", f"w{i}b") for i in range(100))
-    save_evaluation_set(make_evalset(scores, words=words),
-                        tmp_path / "raw.tsv")
+    save_evaluation_set(make_evalset(scores, words=words), path)
+    return words
+
+
+def test_eval_and_quintiles_after_qc_use_present_judgments(tmp_path,
+                                                           capsys):
+    # qc keeps 12 and 13 annotators of the planted set, so batch 0's rows
+    # of the cleaned set end in an empty cell
+    rng = np.random.default_rng(4)
+    words = _planted_qc_set(rng, tmp_path / "raw.tsv")
     save_vectors(
         VectorTable.from_dict(
             "en", {w: rng.normal(size=4) for p in words for w in p}, 4),
@@ -368,6 +373,28 @@ def test_eval_and_quintiles_after_qc_use_present_judgments(tmp_path,
     expected = quintile_fscores_sets(*orders, quintile_block_sizes(100, 5))
     f_scores = [float(row.split("\t")[1]) for row in printed[3:]]
     assert f_scores == pytest.approx(expected)
+
+
+def test_qc_on_qc_output_skips_padding_columns(tmp_path, capsys):
+    # the first qc leaves batch 0 with 12 annotators and one empty column;
+    # the second must screen those 12 only and keep all of their judgments
+    _planted_qc_set(np.random.default_rng(4), tmp_path / "raw.tsv")
+    once, twice = tmp_path / "once.tsv", tmp_path / "twice.tsv"
+    log = tmp_path / "log.tsv"
+    assert main(["qc", "--scores", str(tmp_path / "raw.tsv"),
+                 "--out", str(once)]) == 0
+    assert main(["qc", "--scores", str(once), "--out", str(twice),
+                 "--log", str(log)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "excluded 0 annotator/batch assignments"
+    first, second = (load_evaluation_set(p).scores for p in (once, twice))
+    assert np.array_equal(first, second, equal_nan=True)
+    assert np.isfinite(second[:50, :12]).all()
+    rows = [line.split("\t") for line in log.read_text().splitlines()
+            if not line.startswith("#")][1:]
+    assert len(rows) == 12 + 13
+    assert all(stat != "nan" and verdict == "kept"
+               for _, _, stat, verdict in rows)
 
 
 def _cca_argv(ws, *extra):
@@ -534,5 +561,90 @@ def test_cli_on_a_damaged_input_exits_0_2_3_or_4(workspace, command):
                 assert main([*argv, "--out", out]) in (0, 2, 3, 4)
         finally:
             inputs[i].write_bytes(originals[i])
+
+    check()
+
+
+def _numeric_cases(ws):
+    """Per command: its argv without numeric options or --out, and its
+    numeric options, each marked required or not."""
+    ev, s1, s2 = ws / "evalset.tsv", ws / "s1.tsv", ws / "s2.tsv"
+    corpus = ["--corpus", str(ws / "corpus.txt")]
+    return {
+        "build-bow": (["build-bow", *corpus, "--targets",
+                       str(ws / "targets.txt")],
+                      {"--k": False, "--window": False}),
+        "sample": (["sample", *corpus], {"--fraction": True, "--seed": True}),
+        "agree": (["agree", "--mode", "within", "--evalset", f"en={ev}"],
+                  {"--subset-size": False}),
+        "quintiles": (["quintiles", "--mode", "within", "--evalset",
+                       f"en={ev}"],
+                      {"--subset-size": False, "--quantiles": False}),
+        "combine-li": (["combine", "--method", "li", "--scores", str(s1),
+                        str(s2)], {"--lam": False}),
+        "combine-cca": (["combine", "--method", "cca", "--vectors",
+                         f"en={ws / 'vectors.txt'}",
+                         f"de={ws / 'vectors_de.txt'}",
+                         "--lexicon", str(ws / "lexicon.tsv")],
+                        {"--eps": False, "--components": False,
+                         "--max-dim": False}),
+        "qc": (["qc", "--scores", str(ev)], {"--threshold": False}),
+        "baseline": (["baseline", *corpus, "--evalset", str(ev)],
+                     {"--seed": True, "--fraction": False, "--reps": False,
+                      "--k": False, "--window": False}),
+    }
+
+
+# integers, floats, +-inf and nan, as the command line spells them; small
+# ones most often, so that many draws pass the options' own checks
+_NUMBERS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.integers(1, 12).map(str),
+    st.floats(-2.0, 2.0).map(repr),
+    st.sampled_from(["1000000000", "-1000000000", "inf", "-inf", "nan",
+                     "-0.0", "0.5", "1e308", "1e-320"]),
+    st.floats().map(repr),
+)
+# every repetition builds two models: keep the run short
+_REPS = st.one_of(st.integers(-2, 3).map(str),
+                  st.sampled_from(["inf", "nan", "1.5"]))
+
+
+@st.composite
+def _numeric_arguments(draw, options):
+    """Option/value pairs: every required option, and any of the others."""
+    argv = []
+    for option, required in options.items():
+        if required or draw(st.booleans()):
+            numbers = _REPS if option == "--reps" else _NUMBERS
+            argv += [option, draw(numbers)]
+    return argv
+
+
+def _exit_code(argv) -> int:
+    """The exit status of one command; argparse exits 2 by SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("command", sorted(_numeric_cases(Path("."))))
+def test_cli_on_any_numeric_argument_exits_0_2_3_or_4(workspace, command,
+                                                      capsys):
+    for vectors, scores in (("vectors.txt", "s1.tsv"),
+                            ("vectors_de.txt", "s2.tsv")):
+        assert main(["score", "--vectors", str(workspace / vectors),
+                     "--pairs", str(workspace / "evalset.tsv"),
+                     "--out", str(workspace / scores)]) == 0
+    argv, options = _numeric_cases(workspace)[command]
+    out = str(workspace / "out.tsv")
+
+    @settings(max_examples=20, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(numbers=_numeric_arguments(options))
+    def check(numbers):
+        assert _exit_code([*argv, *numbers, "--out", out]) in (0, 2, 3, 4)
+        capsys.readouterr()
 
     check()

@@ -54,6 +54,32 @@ def test_clean_drops_stopwords_and_nonalpha():
     assert cleaned.sentences == (("cat", "running"),)
 
 
+def test_clean_stems_each_distinct_token_once():
+    calls = []
+
+    def stem(token):
+        calls.append(token)
+        return token[:3]
+
+    stopwords = {"the", "and"}
+    sentences = (
+        ("the", "running", "runner", "the", "running", "42"),
+        ("and", "the", "x1", "--"),
+        ("runner", "über", "über", "ran"),
+        ("running",),
+    )
+    cleaned = clean_tokens(Corpus("en", sentences), stopwords=stopwords,
+                           stemmer=stem)
+    eligible = {t for s in sentences for t in s
+                if t.isalpha() and t not in stopwords}
+    assert sorted(calls) == sorted(eligible)
+    expected = tuple(
+        kept for kept in (tuple(stem(t) for t in s
+                                if t.isalpha() and t not in stopwords)
+                          for s in sentences) if kept)
+    assert cleaned.sentences == expected
+
+
 def test_clean_drops_empty_sentences():
     corpus = Corpus("en", (("the", "a", "an"), ("cat",)))
     cleaned = clean_tokens(corpus, stopwords={"the", "a", "an"},

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vsmeval.errors import AlignmentError, EmptyInputError, FormatError
@@ -138,6 +138,51 @@ def test_file_roundtrip_property(case):
     for table in (loaded, again):
         assert table.words == tuple(expected)
         assert table.matrix.tobytes() == want
+
+
+@st.composite
+def _zero_heavy_rows(draw):
+    """(dimension, rows): most cells +-0.0, the rest any finite float."""
+    dim = draw(st.integers(5, 40))
+    cell = st.one_of(
+        st.just(0.0), st.just(0.0), st.just(0.0), st.just(-0.0),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([5e-324, -2.2250738585072e-308, 1e-310]))
+    rows = st.lists(st.lists(cell, min_size=dim, max_size=dim),
+                    min_size=1, max_size=5)
+    return dim, draw(rows)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_zero_heavy_rows(), st.sampled_from(["nan", "x"]),
+       st.integers(0, 39))
+@example((5, [[-0.0, 0.0, 0.0, 1.5, -0.0], [0.0] * 5]), "nan", 0)
+def test_zero_heavy_file_roundtrip_property(case, bad, position):
+    # a mostly zero row is written as the dense repr join, and reloads
+    # bit for bit, -0.0 included; a bad cell among zeros is still refused
+    dim, rows = case
+    words = tuple(f"w{i}" for i in range(len(rows)))
+    matrix = np.array(rows, dtype=float).reshape(len(rows), dim)
+    dense = "".join(w + " " + " ".join(map(repr, row)) + "\n"
+                    for w, row in zip(words, rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "v.txt")
+        save_vectors(VectorTable("en", words, matrix), path)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == f"{len(rows)} {dim}\n" + dense
+        loaded = load_vectors(path)
+        save_vectors(loaded, path)
+        again = load_vectors(path)
+        for table in (loaded, again):
+            assert table.words == words
+            assert table.matrix.tobytes() == matrix.tobytes()
+        cells = ["0.0"] * dim
+        cells[position % dim] = bad
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"2 {dim}\nok {' '.join(['0.0'] * dim)}\n"
+                     f"bad {' '.join(cells)}\n")
+        with pytest.raises(FormatError, match=f"{path}:3]"):
+            load_vectors(path)
 
 
 def test_save_line_count(tmp_path):
