@@ -7,16 +7,17 @@ measured by averaging scores over every 6-annotator subset and
 correlating against the complement (within-language) or against the
 corresponding subset of another language (cross-language).
 
-``_batch_split_means`` yields one batch at a time the pairs x subsets
-matrix of subset means and, where a within report or within-mode
-quintiles need it, of complement means. One engine,
-``_agreement_reports``, walks the batches of all its sets in step, ranks
-each set's subset means once per batch and builds the within reports and
-the cross report of every pair of sets from those ranks;
-``within_language_agreement``, ``cross_language_agreement`` and
-``significance_driver`` all call it. Spearman rho is Pearson on average
-ranks; the rank kernel (``stats.column_ranks``) and the quintile block
-counts (``stats.quintile_intersections``) live in ``stats``.
+``_split_means`` is the one walk over K-subset means: it checks the sets
+once and yields per batch, set by set, the pairs x subsets matrix of
+subset means and, where a within report or within-mode quintiles need
+it, of complement means. ``_agreement_reports`` ranks each set's subset
+means once per batch and builds the within reports and the cross report
+of every pair of sets from those ranks; ``within_language_agreement``,
+``cross_language_agreement`` and ``significance_driver`` all call it,
+and ``quintile_agreement_analysis`` reads the same walk. Spearman rho is
+Pearson on average ranks; the rank kernel (``stats.column_ranks``) and
+the quintile block overlaps (``stats.quintile_overlaps``) live in
+``stats``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .stats import (
     QuintileOverlap,
     WelchResult,
     column_ranks,
-    quintile_intersections,
+    quintile_overlaps,
     welch_t_test,
 )
 from .textfile import check_cells, read_lines
@@ -154,7 +155,9 @@ def detect_outliers(
     m = batch_scores.shape[1]
     if m < 3:
         raise ArgumentError("outlier detection needs at least 3 annotators")
-    means = batch_scores.mean(axis=0)
+    # each column's mean over the judgments present: one empty cell must
+    # not make every statistic NaN
+    means = np.nanmean(batch_scores, axis=0)
     # zero-spread cutoff relative to the score scale; the statistic is a
     # ratio of spreads, so exact agreement must not amplify rounding noise
     tol = 1e-9 * max(1.0, float(np.abs(means).max()))
@@ -209,26 +212,28 @@ def _ranked_spearman(
     return np.clip(rho, -1.0, 1.0)
 
 
-def _split_means(scores: np.ndarray, member: np.ndarray, K: int,
-                 complement: bool):
-    """One batch's subset-averaged score matrix (pairs x subsets) and,
-    with ``complement``, its complement-averaged one (else None)."""
-    subset_means = scores @ member.T / K
-    if not complement:
-        return subset_means, None
-    totals = scores.sum(axis=1, keepdims=True)
-    return subset_means, (totals - subset_means * K) / (scores.shape[1] - K)
-
-
-def _batch_split_means(evaluation_set: EvaluationSet, K: int,
-                       complement: bool):
-    """``_split_means`` of each batch in order, one batch at a time. The
-    generator keeps no reference to a batch it has yielded, so several
-    sets can be walked in step while each holds only its current batch."""
+def _split_means(sets: list[EvaluationSet], K: int, complement: bool):
+    """Per batch, a generator over ``sets`` of (subset means, complement
+    means or None), each a pairs x subsets matrix, after checking that
+    every set is complete and every pair of sets aligned. A set's means
+    are built only when the consumer reaches it. Complement means average
+    the complement's own columns, so a complement of constant annotators
+    is exactly constant."""
+    for s in sets:
+        s.require_complete()
+    for s1, s2 in itertools.combinations(sets, 2):
+        if s1.pairs.source_ids != s2.pairs.source_ids:
+            raise AlignmentError("evaluation sets have different pair indices")
+        if s1.batches != s2.batches:
+            raise AlignmentError(
+                "evaluation sets have different batch partitions")
     member = _subset_membership(ANNOTATORS_PER_BATCH, K)
-    for b in range(len(evaluation_set.batches)):
-        yield _split_means(evaluation_set.batch_matrix(b), member, K,
-                           complement)
+    rest = 1.0 - member
+    for b in range(len(sets[0].batches)):
+        yield ((scores @ member.T / K,
+                scores @ rest.T / (ANNOTATORS_PER_BATCH - K)
+                if complement else None)
+               for scores in (s.batch_matrix(b) for s in sets))
 
 
 def _report(label: str, rhos) -> AgreementReport:
@@ -247,31 +252,18 @@ def _report(label: str, rhos) -> AgreementReport:
     )
 
 
-def _check_aligned(set1: EvaluationSet, set2: EvaluationSet):
-    if set1.pairs.source_ids != set2.pairs.source_ids:
-        raise AlignmentError("evaluation sets have different pair indices")
-    if set1.batches != set2.batches:
-        raise AlignmentError("evaluation sets have different batch partitions")
-
-
 def _agreement_reports(sets: list[EvaluationSet], K: int, within: bool):
     """Within reports of ``sets`` (none unless ``within``) and cross
     reports of every pair, in ``itertools.combinations`` order. Each
     batch's subset means are ranked once per set; complement means are
     built only for within reports and their ranks dropped at once, so
     only the subset ranks of all sets are held together."""
-    for s in sets:
-        s.require_complete()
     pairs = list(itertools.combinations(range(len(sets)), 2))
-    for i, j in pairs:
-        _check_aligned(sets[i], sets[j])
-    splits = [_batch_split_means(s, K, complement=within) for s in sets]
     within_rhos = [[] for _ in sets]
     cross_rhos = [[] for _ in pairs]
-    for _ in sets[0].batches:
+    for batch in _split_means(sets, K, complement=within):
         subset_ranks = []
-        for split, rhos in zip(splits, within_rhos):
-            sub, comp = next(split)
+        for (sub, comp), rhos in zip(batch, within_rhos):
             sub = _centred_ranks(sub)
             if within:
                 rhos.append(_ranked_spearman(sub, _centred_ranks(comp)))
@@ -355,21 +347,14 @@ def quintile_agreement_analysis(
     position.
     """
     within_mode = set2 is None or set2 is set1
-    set1.require_complete()
-    if within_mode:
-        splits = _batch_split_means(set1, K, complement=True)
-    else:
-        set2.require_complete()
-        _check_aligned(set1, set2)
-        splits = ((m1, m2) for (m1, _), (m2, _) in zip(
-            _batch_split_means(set1, K, complement=False),
-            _batch_split_means(set2, K, complement=False)))
+    sets = [set1] if within_mode else [set1, set2]
     # a scalar start leaves the checks on q to the kernel
     f_sums, count = 0.0, 0
-    for m1, m2 in splits:
-        sizes, inter = quintile_intersections(m1, m2, q)
-        f_sums += np.array([(row / size).sum()
-                            for row, size in zip(inter, sizes)])
+    for batch in _split_means(sets, K, complement=within_mode):
+        # within mode: one set's subset and complement means; cross mode:
+        # the subset means of both sets
+        m1, m2 = (m for split in batch for m in split if m is not None)
+        f_sums += quintile_overlaps(m1, m2, q).sum(axis=1)
         count += m1.shape[1]
     return QuintileOverlap(f_scores=tuple(f_sums / count))
 

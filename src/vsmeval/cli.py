@@ -196,17 +196,23 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _mode_sets(args):
+    """Paths and sets of a within (one set) or cross (two sets) command;
+    the count is checked before any file is read."""
+    count = len(args.evalset or [])
+    if args.mode == "within" and count != 1:
+        raise ArgumentError("within mode takes exactly one evaluation set")
+    if args.mode == "cross" and count != 2:
+        raise ArgumentError("cross mode takes exactly two evaluation sets")
+    return _load_tagged(args.evalset, load_evaluation_set)
+
+
 def cmd_agree(args) -> int:
-    paths, sets = _load_tagged(args.evalset, load_evaluation_set)
+    paths, sets = _mode_sets(args)
     if args.mode == "within":
-        if len(sets) != 1:
-            raise ArgumentError("within mode takes exactly one evaluation set")
-        report = within_language_agreement(sets[0], K=args.subset_size)
+        report = within_language_agreement(*sets, K=args.subset_size)
     else:
-        if len(sets) != 2:
-            raise ArgumentError("cross mode takes exactly two evaluation sets")
-        report = cross_language_agreement(sets[0], sets[1],
-                                          K=args.subset_size)
+        report = cross_language_agreement(*sets, K=args.subset_size)
     manifest = RunManifest.collect(
         "agree", {"mode": args.mode, "K": args.subset_size}, paths,
     )
@@ -223,18 +229,9 @@ def cmd_agree(args) -> int:
 
 def cmd_quintiles(args) -> int:
     if args.mode in ("within", "cross"):
-        inputs, sets = _load_tagged(args.evalset, load_evaluation_set)
-        if args.mode == "within":
-            if len(sets) != 1:
-                raise ArgumentError("within mode takes one evaluation set")
-            overlap = quintile_agreement_analysis(sets[0], K=args.subset_size,
-                                                  q=args.quantiles)
-        else:
-            if len(sets) != 2:
-                raise ArgumentError("cross mode takes two evaluation sets")
-            overlap = quintile_agreement_analysis(sets[0], sets[1],
-                                                  K=args.subset_size,
-                                                  q=args.quantiles)
+        inputs, sets = _mode_sets(args)
+        overlap = quintile_agreement_analysis(*sets, K=args.subset_size,
+                                              q=args.quantiles)
     else:  # model-human
         if not (args.scores and args.evalset and len(args.evalset) == 1):
             raise ArgumentError(

@@ -9,9 +9,9 @@ columns of a matrix, 256 at a time, with one row-wise argsort over the
 transposed block, one flat pass over the tie groups and one scatter back.
 Average ranks are half-integers, so it equals
 ``scipy.stats.rankdata(axis=0)`` bit for bit, and every sum of centred
-ranks is exact, whatever its order. ``quintile_intersections`` counts,
-column by column, the pairs two score matrices put in the same rank
-block.
+ranks is exact, whatever its order. ``quintile_overlaps`` gives, column
+by column, the share of each rank block that two score matrices put in
+the same block.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ from .errors import ArgumentError, ConstantInputError, DegenerateError, \
 # whole 50 x 1716 matrix is mapped afresh on every call, and its page
 # faults cost about as much as the ranking itself.
 _RANK_BLOCK = 256
+
+# Positions Kendall's tau-b compares per block against every later
+# position: its temporaries are then 256 x n, not n x n.
+_PAIR_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -112,16 +116,23 @@ def spearman(x, y) -> float:
 
 def kendall_tau_b(x, y) -> float:
     """(concordant - discordant) / sqrt((n0 - tx)(n0 - ty)) via explicit
-    pairwise sign comparison."""
+    pairwise sign comparison, ``_PAIR_BLOCK`` positions at a time. The
+    tallies are integers, so the result does not depend on the blocks."""
     x, y = _paired(x, y)
-    sx = np.sign(np.subtract.outer(x, x))
-    sy = np.sign(np.subtract.outer(y, y))
-    iu = np.triu_indices(len(x), k=1)
-    sx, sy = sx[iu], sy[iu]
-    n0 = len(sx)
-    concordant_minus_discordant = float(np.sum(sx * sy))
-    ties_x = int(np.sum(sx == 0))
-    ties_y = int(np.sum(sy == 0))
+    n = len(x)
+    concordant_minus_discordant = ties_x = ties_y = 0
+    for lo in range(0, n - 1, _PAIR_BLOCK):
+        hi = min(lo + _PAIR_BLOCK, n - 1)
+        # rows lo..hi-1 against positions lo+1..n-1, keeping j > i
+        later = np.arange(lo + 1, n) > np.arange(lo, hi)[:, None]
+        sx = np.sign(x[lo + 1:] - x[lo:hi, None])[later]
+        sy = np.sign(y[lo + 1:] - y[lo:hi, None])[later]
+        agree = sx * sy
+        concordant_minus_discordant += (np.count_nonzero(agree > 0)
+                                        - np.count_nonzero(agree < 0))
+        ties_x += np.count_nonzero(sx == 0)
+        ties_y += np.count_nonzero(sy == 0)
+    n0 = n * (n - 1) // 2
     denom = np.sqrt(float(n0 - ties_x) * float(n0 - ties_y))
     if denom == 0.0:
         raise ConstantInputError(
@@ -169,11 +180,11 @@ def quintile_block_sizes(n: int, q: int) -> tuple[int, ...]:
     return tuple(base + 1 if i < rem else base for i in range(q))
 
 
-def quintile_intersections(a: np.ndarray, b: np.ndarray, q: int):
-    """Block sizes and the q x m counts of pairs that two n x m score
-    matrices put in the same block of each column. Blocks follow
-    ``quintile_block_sizes`` down the descending order of a column; a
-    stable sort keeps pair-position order on ties."""
+def quintile_overlaps(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """The q x m relative overlaps F of two n x m score matrices: per
+    column, the count of pairs both put in block i over the size of
+    block i. Blocks follow ``quintile_block_sizes`` down the descending
+    order of a column; a stable sort keeps pair-position order on ties."""
     n, m = a.shape
     if q < 2:
         raise ArgumentError(f"q must be >= 2, got {q}")
@@ -190,7 +201,7 @@ def quintile_intersections(a: np.ndarray, b: np.ndarray, q: int):
         blocks.append(block)
     b1, b2 = blocks
     inter = np.stack([((b1 == i) & (b2 == i)).sum(axis=0) for i in range(q)])
-    return sizes, inter
+    return inter / np.array(sizes)[:, None]
 
 
 def quintile_fscore(x, y, q: int = 5) -> QuintileOverlap:
@@ -202,7 +213,5 @@ def quintile_fscore(x, y, q: int = 5) -> QuintileOverlap:
     Ties at block boundaries are resolved by stable pair-position order.
     """
     x, y = _paired(x, y)
-    sizes, inter = quintile_intersections(x[:, None], y[:, None], q)
     return QuintileOverlap(f_scores=tuple(
-        float(count / size) for count, size in zip(inter[:, 0], sizes)
-    ))
+        quintile_overlaps(x[:, None], y[:, None], q)[:, 0].tolist()))

@@ -227,9 +227,11 @@ class TestDegenerateSamples:
 
     def test_within_drops_and_counts_constant_sides(self):
         report = within_language_agreement(self._half_constant(1, "en"))
-        # per batch, C(7, 6) = 7 subsets lie inside the constant annotators
-        assert report.degenerate_count == 2 * 7
-        assert report.sample_count == 2 * (1716 - 7)
+        # per batch, C(7, 6) = 7 subsets lie inside the constant annotators,
+        # and the subset {7..12} has exactly the constant annotators as its
+        # complement: 8 splits with a constant side
+        assert report.degenerate_count == 2 * 8
+        assert report.sample_count == 2 * (1716 - 8)
         assert np.isfinite(report.samples).all()
 
     def test_cross_and_driver_count_constant_sides(self, monkeypatch):
@@ -251,7 +253,8 @@ class TestDegenerateSamples:
 
         monkeypatch.setattr(agreement, "agreement_significance", spy)
         significance_driver([constant, varied])
-        assert seen == {"within:en": 14, "within:de": 0, "cross:en-de": 14}
+        # within counts the constant complement too; cross compares subsets
+        assert seen == {"within:en": 16, "within:de": 0, "cross:en-de": 14}
 
 
 class TestCrossAgreement:
@@ -285,6 +288,10 @@ class TestCrossAgreement:
         s2 = make_evalset(rng.uniform(0, 10, size=(20, 13)), batch_size=20)
         with pytest.raises(AlignmentError):
             cross_language_agreement(s1, s2)
+        with pytest.raises(AlignmentError):
+            quintile_agreement_analysis(s1, s2)
+        with pytest.raises(AlignmentError):
+            significance_driver([s1, s2])
 
 
 class TestSignificance:

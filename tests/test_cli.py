@@ -397,6 +397,42 @@ def test_qc_on_qc_output_skips_padding_columns(tmp_path, capsys):
                for _, _, stat, verdict in rows)
 
 
+def test_qc_screens_a_column_on_its_present_judgments(tmp_path, capsys):
+    # one empty cell is one missing judgment: annotator 4 is screened on
+    # its other 49 judgments, and its NaN must not reach the others'
+    # statistics
+    rng = np.random.default_rng(4)
+    # annotator means spread evenly around each pair's level, so the
+    # middle annotators, 4 among them, are kept
+    scores = np.clip(rng.uniform(3, 7, size=(50, 1))
+                     + np.linspace(-0.6, 0.6, 13)
+                     + rng.normal(0, 0.1, size=(50, 13)), 0, 10)
+    scores[7, 4] = np.nan
+    raw, out, log = (tmp_path / name for name in ("raw.tsv", "out.tsv",
+                                                  "log.tsv"))
+    save_evaluation_set(make_evalset(scores), raw)
+    assert main(["qc", "--scores", str(raw), "--out", str(out),
+                 "--log", str(log)]) == 0
+    rows = [line.split("\t") for line in log.read_text().splitlines()
+            if not line.startswith("#")][1:]
+    assert [annotator for _, annotator, _, _ in rows] == \
+        [f"a{j + 1:02d}" for j in range(13)]
+    assert all(stat != "nan" for _, _, stat, _ in rows)
+    means = [sum(c for c in column if not math.isnan(c))
+             / sum(not math.isnan(c) for c in column)
+             for column in scores.T.tolist()]
+    others = means[:4] + means[5:]
+    centre = sum(others) / 12
+    spread = math.sqrt(sum((m - centre) ** 2 for m in others) / 11)
+    assert float(rows[4][2]) == pytest.approx(abs(means[4] - centre) / spread,
+                                              rel=1e-12)
+    kept = [j for j, (_, _, _, verdict) in enumerate(rows)
+            if verdict == "kept"]
+    assert 4 in kept
+    assert np.array_equal(load_evaluation_set(out).scores, scores[:, kept],
+                          equal_nan=True)
+
+
 def _cca_argv(ws, *extra):
     return ["combine", "--method", "cca", "--vectors",
             f"en={ws / 'vectors.txt'}", f"de={ws / 'vectors_de.txt'}",

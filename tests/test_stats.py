@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -141,6 +143,26 @@ class TestKendall:
             assert ours == pytest.approx(
                 kendall_tau_b_bruteforce(x, y), abs=1e-12
             )
+
+    @pytest.mark.parametrize("n", [257, 513])
+    def test_block_boundaries_match_bruteforce(self, rng, n):
+        # one and two positions past a whole block of compared rows
+        x = _random_tied(rng, n)
+        y = _random_tied(rng, n)
+        assert kendall_tau_b(x, y) == \
+            kendall_tau_b_bruteforce(x.tolist(), y.tolist())
+
+    def test_memory_grows_with_n_not_n_squared(self, rng):
+        # an n x n sign matrix at n=4000 alone takes 122 MiB
+        x = _random_tied(rng, 4000)
+        y = _random_tied(rng, 4000)
+        tracemalloc.start()
+        try:
+            kendall_tau_b(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_all_tied_raises(self):
         with pytest.raises(ConstantInputError):
