@@ -8,21 +8,28 @@ correlating against the complement (within-language) or against the
 corresponding subset of another language (cross-language).
 
 ``_split_means`` is the one walk over K-subset means: it checks the sets
-once and yields per batch, set by set, the pairs x subsets matrix of
-subset means and, where a within report or within-mode quintiles need
-it, of complement means. ``_agreement_reports`` ranks each set's subset
-means once per batch and builds the within reports and the cross report
-of every pair of sets from those ranks; ``within_language_agreement``,
-``cross_language_agreement`` and ``significance_driver`` all call it,
-and ``quintile_agreement_analysis`` reads the same walk. Spearman rho is
-Pearson on average ranks; the rank kernel (``stats.column_ranks``) and
-the quintile block overlaps (``stats.quintile_overlaps``) live in
-``stats``.
+once, then maps one function over the batches on a thread pool made for
+the call, one worker per CPU the process may use, and returns the
+results in batch order. Each call gets, set by set, the pairs x subsets
+matrix of subset means and, where a within report or within-mode
+quintiles need it, of complement means. ``_agreement_reports`` ranks
+each set's subset means once per batch and builds the within reports
+and the cross report of every pair of sets from those ranks;
+``within_language_agreement``, ``cross_language_agreement`` and
+``significance_driver`` all call it, and ``quintile_agreement_analysis``
+reads the same walk. Batches share no state and numpy releases the GIL
+in the sorts and products a batch spends its time in; the reports are
+assembled on the calling thread, so they do not depend on the number of
+workers. Spearman rho is Pearson on average ranks; the rank kernel
+(``stats.column_ranks``) and the quintile block overlaps
+(``stats.quintile_overlaps``) live in ``stats``.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,7 +203,7 @@ def _centred_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     squares; both exact, since the ranks are half-integers."""
     r = column_ranks(x)
     r -= r.mean(axis=0)
-    return r, (r * r).sum(axis=0)
+    return r, np.einsum("ij,ij->j", r, r)
 
 
 def _ranked_spearman(
@@ -206,19 +213,18 @@ def _ranked_spearman(
     columns with a constant side come back NaN."""
     (ra, ssa), (rb, ssb) = a, b
     denom = np.sqrt(ssa * ssb)
-    num = (ra * rb).sum(axis=0)
+    # centred average ranks are multiples of 0.5, so each product is an
+    # exact multiple of 0.25 and every partial sum is exact: the einsum
+    # gives the same bits in whatever order it adds, without building
+    # the pairs x subsets product matrix
+    num = np.einsum("ij,ij->j", ra, rb)
     with np.errstate(invalid="ignore", divide="ignore"):
         rho = np.where(denom > 0, num / np.maximum(denom, 1e-300), np.nan)
     return np.clip(rho, -1.0, 1.0)
 
 
-def _split_means(sets: list[EvaluationSet], K: int, complement: bool):
-    """Per batch, a generator over ``sets`` of (subset means, complement
-    means or None), each a pairs x subsets matrix, after checking that
-    every set is complete and every pair of sets aligned. A set's means
-    are built only when the consumer reaches it. Complement means average
-    the complement's own columns, so a complement of constant annotators
-    is exactly constant."""
+def _check_sets(sets: list[EvaluationSet]) -> None:
+    """Every set complete and every pair of sets aligned."""
     for s in sets:
         s.require_complete()
     for s1, s2 in itertools.combinations(sets, 2):
@@ -227,13 +233,45 @@ def _split_means(sets: list[EvaluationSet], K: int, complement: bool):
         if s1.batches != s2.batches:
             raise AlignmentError(
                 "evaluation sets have different batch partitions")
+
+
+def _worker_count(batches: int) -> int:
+    """One worker per CPU this process may run on, at most one per batch."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, batches))
+
+
+def _split_means(sets: list[EvaluationSet], K: int, complement: bool,
+                 per_batch):
+    """``per_batch`` of each batch, in batch order, after checking the
+    sets. ``per_batch`` gets a generator over ``sets`` of (subset means,
+    complement means or None), each a pairs x subsets matrix; a set's
+    means are built only when ``per_batch`` reaches it. Batches run on a pool
+    of ``_worker_count`` threads that is shut down before returning, and
+    an exception in a batch reaches the caller after the batches not yet
+    started are cancelled. Complement means average the complement's own
+    columns, so a complement of constant annotators is exactly constant.
+    """
+    _check_sets(sets)
     member = _subset_membership(ANNOTATORS_PER_BATCH, K)
     rest = 1.0 - member
-    for b in range(len(sets[0].batches)):
-        yield ((scores @ member.T / K,
-                scores @ rest.T / (ANNOTATORS_PER_BATCH - K)
-                if complement else None)
-               for scores in (s.batch_matrix(b) for s in sets))
+
+    def batch_means(b):
+        return per_batch(
+            (scores @ member.T / K,
+             scores @ rest.T / (ANNOTATORS_PER_BATCH - K)
+             if complement else None)
+            for scores in (s.batch_matrix(b) for s in sets))
+
+    n = len(sets[0].batches)
+    pool = ThreadPoolExecutor(_worker_count(n))
+    try:
+        return list(pool.map(batch_means, range(n)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _report(label: str, rhos) -> AgreementReport:
@@ -259,22 +297,27 @@ def _agreement_reports(sets: list[EvaluationSet], K: int, within: bool):
     built only for within reports and their ranks dropped at once, so
     only the subset ranks of all sets are held together."""
     pairs = list(itertools.combinations(range(len(sets)), 2))
-    within_rhos = [[] for _ in sets]
-    cross_rhos = [[] for _ in pairs]
-    for batch in _split_means(sets, K, complement=within):
-        subset_ranks = []
-        for (sub, comp), rhos in zip(batch, within_rhos):
+
+    def batch_rhos(batch):
+        within_rhos, subset_ranks = [], []
+        for sub, comp in batch:
             sub = _centred_ranks(sub)
             if within:
-                rhos.append(_ranked_spearman(sub, _centred_ranks(comp)))
+                within_rhos.append(_ranked_spearman(sub, _centred_ranks(comp)))
             subset_ranks.append(sub)
-        for (i, j), rhos in zip(pairs, cross_rhos):
-            rhos.append(_ranked_spearman(subset_ranks[i], subset_ranks[j]))
-    within_reports = [_report(f"within:{s.language}", rhos)
-                      for s, rhos in zip(sets, within_rhos)] if within else []
+        cross_rhos = [_ranked_spearman(subset_ranks[i], subset_ranks[j])
+                      for i, j in pairs]
+        return within_rhos, cross_rhos
+
+    per_batch = _split_means(sets, K, within, batch_rhos)
+    within_reports = [
+        _report(f"within:{s.language}", [w[i] for w, _ in per_batch])
+        for i, s in enumerate(sets)
+    ] if within else []
     cross_reports = [
-        _report(f"cross:{sets[i].language}-{sets[j].language}", rhos)
-        for (i, j), rhos in zip(pairs, cross_rhos)
+        _report(f"cross:{sets[i].language}-{sets[j].language}",
+                [c[p] for _, c in per_batch])
+        for p, (i, j) in enumerate(pairs)
     ]
     return within_reports, cross_reports
 
@@ -315,10 +358,18 @@ def significance_driver(
     every language pair's cross-agreement samples.
 
     Four languages give 4 within reports x 6 unordered pairs = 24 tests.
-    Keys are (within_language, pair_language_1, pair_language_2).
+    Keys are (within_language, pair_language_1, pair_language_2), so two
+    sets of one language are refused, after the checks on the data and
+    before any batch is ranked.
     """
     if not sets:
         return {}
+    _check_sets(sets)
+    languages = [s.language for s in sets]
+    for lang in languages:
+        if languages.count(lang) > 1:
+            raise ArgumentError(
+                f"language {lang!r} names more than one evaluation set")
     within_reports, cross_reports = _agreement_reports(sets, K, within=True)
     within = {s.language: r for s, r in zip(sets, within_reports)}
     cross = {
@@ -348,14 +399,19 @@ def quintile_agreement_analysis(
     """
     within_mode = set2 is None or set2 is set1
     sets = [set1] if within_mode else [set1, set2]
-    # a scalar start leaves the checks on q to the kernel
-    f_sums, count = 0.0, 0
-    for batch in _split_means(sets, K, complement=within_mode):
+
+    def batch_overlaps(batch):
         # within mode: one set's subset and complement means; cross mode:
         # the subset means of both sets
         m1, m2 = (m for split in batch for m in split if m is not None)
-        f_sums += quintile_overlaps(m1, m2, q).sum(axis=1)
-        count += m1.shape[1]
+        return quintile_overlaps(m1, m2, q).sum(axis=1), m1.shape[1]
+
+    # a scalar start leaves the checks on q to the kernel; summing on
+    # this thread, in batch order, keeps the float sums' order
+    f_sums, count = 0.0, 0
+    for f, m in _split_means(sets, K, within_mode, batch_overlaps):
+        f_sums += f
+        count += m
     return QuintileOverlap(f_scores=tuple(f_sums / count))
 
 
@@ -443,13 +499,12 @@ def save_evaluation_set(evaluation_set: EvaluationSet, path,
             fh.write(f"# {line}\n")
         cols = "\t".join(f"a{j + 1:02d}" for j in range(n_annot))
         fh.write(f"pair_index\tword1\tword2\tbatch\t{cols}\n")
-        for pos in range(len(evaluation_set.pairs)):
+        for pos, row in enumerate(
+                evaluation_set.scores.astype(float, copy=False).tolist()):
             idx = evaluation_set.pairs.source_ids[pos]
             w1, w2 = evaluation_set.pairs.pairs[pos]
-            cells = "\t".join(
-                "" if np.isnan(v) else repr(float(v))
-                for v in evaluation_set.scores[pos]
-            )
+            # v != v only for NaN, the empty cell
+            cells = "\t".join("" if v != v else repr(v) for v in row)
             fh.write(f"{idx}\t{w1}\t{w2}\t{batch_of[pos]}\t{cells}\n")
 
 

@@ -84,8 +84,7 @@ def _write_tsv(path, manifest: RunManifest, header: str, rows) -> None:
         for line in manifest.comment_lines():
             fh.write(f"# {line}\n")
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+        fh.write("".join(row + "\n" for row in rows))
 
 
 def _parse_tagged(value: str) -> tuple[str, str]:
@@ -222,7 +221,7 @@ def cmd_agree(args) -> int:
     _write_tsv(args.out, manifest, header, rows)
     if args.samples_out:
         _write_tsv(args.samples_out, manifest, "rho",
-                   [repr(float(v)) for v in report.samples])
+                   map(repr, report.samples.tolist()))
     print(rows[0])
     return 0
 

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -332,6 +334,17 @@ class TestSignificance:
             assert inside.samples.tobytes() == report.samples.tobytes()
             assert inside.degenerate_count == report.degenerate_count
 
+    def test_driver_refuses_a_repeated_language(self, monkeypatch):
+        a, b, c = synthetic_languages(4, n_langs=3, n_batches=1)
+        a.language = b.language = "und"
+
+        def walk(*args):
+            raise AssertionError("a batch was ranked")
+
+        monkeypatch.setattr(agreement, "_split_means", walk)
+        with pytest.raises(ArgumentError, match="'und'"):
+            significance_driver([a, b, c])
+
     def test_driver_emits_24_results(self):
         sets = synthetic_languages(1, n_langs=4, n_batches=1)
         results = significance_driver(sets)
@@ -375,6 +388,78 @@ class TestQuintileAnalysis:
         overlap = quintile_agreement_analysis(evalset)
         assert len(overlap.f_scores) == 5
         assert all(0.0 <= f <= 1.0 for f in overlap.f_scores)
+
+
+class TestParallelWalk:
+    """The batches of the K-subset walk run on a thread pool; the number
+    of workers changes no bit of any result, and the pool leaves no
+    thread behind."""
+
+    @staticmethod
+    def _sets():
+        # 7 batches, the last of 49 pairs; half-point scores tie, and
+        # constant annotators give degenerate samples in en (every batch)
+        # and de (batch 3 only)
+        rng = np.random.default_rng(31)
+        sets = []
+        for lang in ("en", "de", "it", "ru"):
+            scores = np.rint(rng.uniform(0, 10, size=(349, 13)) * 2) / 2
+            if lang == "en":
+                scores[:, :7] = 5.0
+            if lang == "de":
+                scores[150:200, :7] = 2.5
+            sets.append(make_evalset(scores, language=lang))
+        assert len(sets[0].batches) == 7 and len(sets[0].batches[-1]) == 49
+        return sets
+
+    @staticmethod
+    def _leaves_no_thread(fn, *args, **kwargs):
+        before = threading.active_count()
+        result = fn(*args, **kwargs)
+        assert threading.active_count() == before
+        return result
+
+    def _results(self, sets):
+        call = self._leaves_no_thread
+        within, cross = call(agreement._agreement_reports, sets, 6, True)
+        driver = call(significance_driver, sets)
+        quintiles = [
+            call(quintile_agreement_analysis, *pair, q=q).f_scores
+            for pair in ((sets[1],), (sets[0], sets[1]))
+            for q in (5, 7)
+        ]
+        return within + cross, repr(sorted(driver.items())), quintiles
+
+    def test_worker_count_changes_no_bit(self, monkeypatch):
+        sets = self._sets()
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(agreement, "_worker_count",
+                                lambda batches, w=workers: w)
+            runs.append(self._results(sets))
+        (reports, driver, quintiles), *others = runs
+        assert [r.degenerate_count for r in reports[:2]] == [7 * 8, 8]
+        assert driver.count("WelchResult") == 24
+        for other_reports, other_driver, other_quintiles in others:
+            for a, b in zip(reports, other_reports, strict=True):
+                assert a.label == b.label
+                assert np.array_equal(a.samples, b.samples)
+                assert a.degenerate_count == b.degenerate_count
+            assert other_driver == driver
+            assert other_quintiles == quintiles
+
+    def test_batch_error_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(agreement, "_worker_count", lambda batches: 2)
+        evalset = self._sets()[2]
+        with pytest.raises(ArgumentError, match="q must be >= 2, got 1"):
+            self._leaves_no_thread(quintile_agreement_analysis, evalset, q=1)
+
+    def test_worker_count_bounds(self):
+        cpus = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count())
+        assert agreement._worker_count(0) == 1
+        assert agreement._worker_count(1) == 1
+        assert agreement._worker_count(10**6) == cpus
 
 
 _WORDS = st.text(st.sampled_from(LINE_READER_CHARACTERS), max_size=3)
