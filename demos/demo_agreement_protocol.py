@@ -37,9 +37,7 @@ for lang in languages:
     raw = 10.0 * (raw - raw.min()) / (raw.max() - raw.min())
     sets[lang] = EvaluationSet(
         language=lang,
-        dataset_name="demo",
-        pairs=WordPairList(lang, tuple((f"w{i}a", f"w{i}b")
-                                       for i in range(N_PAIRS)),
+        pairs=WordPairList(tuple((f"w{i}a", f"w{i}b") for i in range(N_PAIRS)),
                            tuple(range(N_PAIRS))),
         scores=raw,
         batches=(tuple(range(50)), tuple(range(50, 100))),

@@ -41,7 +41,7 @@ lexicon = TranslationLexicon(("en", "de"), tuple(zip(en_words, de_words)))
 
 pairs_idx = [(2 * i, 2 * i + 1) for i in range(N_WORDS // 2)]
 pairs = WordPairList(
-    "en", tuple((en_words[a], en_words[b]) for a, b in pairs_idx),
+    tuple((en_words[a], en_words[b]) for a, b in pairs_idx),
     tuple(range(len(pairs_idx))),
 )
 
@@ -52,7 +52,7 @@ reference = [cos(latent[a], latent[b]) for a, b in pairs_idx]
 
 s_en = score_pairs(t_en, pairs)
 de_pairs = WordPairList(
-    "de", tuple((de_words[a], de_words[b]) for a, b in pairs_idx),
+    tuple((de_words[a], de_words[b]) for a, b in pairs_idx),
     tuple(range(len(pairs_idx))),
 )
 s_de = score_pairs(t_de, de_pairs)

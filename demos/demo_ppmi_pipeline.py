@@ -44,7 +44,6 @@ for word in targets:
     print(f"  {word:>6}: {nnz} nonzero PPMI entries")
 
 pairs = WordPairList(
-    "en",
     (("cat", "dog"), ("cat", "mous"), ("mous", "chees"), ("cat", "mat"),
      ("dog", "anim"), ("mat", "chees")),
     tuple(range(6)),

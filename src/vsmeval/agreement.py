@@ -28,6 +28,7 @@ workers. Spearman rho is Pearson on average ranks; the rank kernel
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -58,7 +59,6 @@ OUTLIER_THRESHOLD = 1.45
 @dataclass
 class EvaluationSet:
     language: str
-    dataset_name: str
     pairs: WordPairList
     scores: np.ndarray  # pairs x annotators, values in [0, 10]
     batches: tuple[tuple[int, ...], ...]  # row positions per batch
@@ -69,8 +69,8 @@ class EvaluationSet:
             raise AlignmentError(
                 f"{self.scores.shape[0]} score rows for {n} pairs"
             )
-        finite = self.scores[np.isfinite(self.scores)]
-        if finite.size and (finite.min() < 0 or finite.max() > 10):
+        present = self.scores[~np.isnan(self.scores)]
+        if present.size and (present.min() < 0 or present.max() > 10):
             raise ValidationError("scores must lie in [0, 10]")
         seen = [p for batch in self.batches for p in batch]
         if sorted(seen) != list(range(n)):
@@ -433,11 +433,10 @@ def human_mean_scores(evaluation_set: EvaluationSet) -> ScoreVector:
     return ScoreVector(scores=scores)
 
 
-def load_evaluation_set(
-    path, language: str | None = None, dataset_name: str | None = None
-) -> EvaluationSet:
+def load_evaluation_set(path, language: str | None = None) -> EvaluationSet:
     """TSV with header ``pair_index word1 word2 batch a01..aNN``; empty
-    score cells load as NaN (only QC inputs/outputs may contain them)."""
+    score cells load as NaN (only QC inputs/outputs may contain them),
+    and any other cell must be a finite number."""
     lines = ((n, line.split("\t")) for n, line in read_lines(path)
              if not line.startswith("#"))
     lineno, header = next(lines, (None, None))
@@ -458,25 +457,24 @@ def load_evaluation_set(
                 f"expected {len(header)} fields, got {len(fields)}",
                 path=path, line=lineno,
             )
+        cells = fields[4:]
         try:
             ids.append(int(fields[0]))
-            rows.append([float(v) if v != "" else np.nan
-                         for v in fields[4:]])
+            row = [float(v) if v != "" else np.nan for v in cells]
         except ValueError:
             raise FormatError("non-numeric pair index or score",
                               path=path, line=lineno)
+        # only an empty cell may load as NaN; no cell loads as inf
+        if sum(map(math.isfinite, row)) + cells.count("") != len(cells):
+            raise FormatError("non-finite score", path=path, line=lineno)
+        rows.append(row)
         batches.setdefault(fields[3], []).append(len(pairs))
         pairs.append((fields[1], fields[2]))
     if not ids:
         raise FormatError("evaluation set without pairs", path=path)
     return EvaluationSet(
         language=language or "und",
-        dataset_name=dataset_name or str(path),
-        pairs=WordPairList(
-            language=language or "und",
-            pairs=tuple(pairs),
-            source_ids=tuple(ids),
-        ),
+        pairs=WordPairList(pairs=tuple(pairs), source_ids=tuple(ids)),
         scores=np.array(rows, dtype=float),
         batches=tuple(tuple(positions) for positions in batches.values()),
     )
@@ -556,7 +554,6 @@ def apply_outlier_filter(
             evaluation_set.scores[np.ix_(positions, list(kept))]
     cleaned_set = EvaluationSet(
         language=evaluation_set.language,
-        dataset_name=evaluation_set.dataset_name,
         pairs=evaluation_set.pairs,
         scores=cleaned,
         batches=evaluation_set.batches,

@@ -46,7 +46,7 @@ from .errors import (
     VsmevalError,
     WordLookupError,
 )
-from .manifest import RunManifest
+from .manifest import manifest_lines
 from .scoring import (
     align_scores,
     read_pair_list,
@@ -79,9 +79,9 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_tsv(path, manifest: RunManifest, header: str, rows) -> None:
+def _write_tsv(path, manifest: list[str], header: str, rows) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for line in manifest.comment_lines():
+        for line in manifest:
             fh.write(f"# {line}\n")
         fh.write(header + "\n")
         fh.write("".join(row + "\n" for row in rows))
@@ -111,21 +111,10 @@ def _first_row(path) -> list[str]:
                  if not line.startswith("#")), [])
 
 
-def _load_pairs_or_evalset(path, language):
-    """A word-pair TSV or a full evaluation set; sniffed by header."""
-    header = _first_row(path)
-    if not header:
-        raise FormatError("empty pair file", path=path)
-    if len(header) >= 4 and header[3].strip() == "batch":
-        return load_evaluation_set(path, language=language).pairs
-    return read_pair_list(path, language=language)
-
-
 def _target_words(path):
     """Target list for BOW rows: a plain wordlist or a pair file."""
     if len(_first_row(path)) > 1:
-        pairs = _load_pairs_or_evalset(path, "und")
-        words = sorted({w for p in pairs.pairs for w in p})
+        words = sorted({w for p in read_pair_list(path).pairs for w in p})
     else:
         words = list(read_wordlist(path))
     if not words:
@@ -158,22 +147,22 @@ def cmd_sample(args) -> int:
 
 def cmd_score(args) -> int:
     table = load_vectors(args.vectors, language=args.language)
-    pairs = _load_pairs_or_evalset(args.pairs, args.language)
+    pairs = read_pair_list(args.pairs)
+    if not pairs:
+        raise FormatError("empty pair file", path=args.pairs)
     scores = score_pairs(table, pairs, oov_policy=args.oov_policy)
-    manifest = RunManifest.collect(
+    manifest = manifest_lines(
         "score",
         {"oov_policy": args.oov_policy, "language": args.language},
         [args.vectors, args.pairs],
     )
-    write_scores(scores, pairs, args.out,
-                 header_lines=manifest.comment_lines())
+    write_scores(scores, pairs, args.out, header_lines=manifest)
     return 0
 
 
 def cmd_eval(args) -> int:
     table = load_vectors(args.vectors, language=args.language)
-    evaluation_set = load_evaluation_set(args.evalset,
-                                         language=args.jl or args.language)
+    evaluation_set = load_evaluation_set(args.evalset)
     human = human_mean_scores(evaluation_set)
     model = score_pairs(table, evaluation_set.pairs, oov_policy="skip")
     covered, human = align_scores(model, human)
@@ -181,7 +170,7 @@ def cmd_eval(args) -> int:
         raise DegenerateError("fewer than 2 covered pairs")
     corr = _CORRELATIONS[args.correlation]
     value = corr(covered.as_array(), human.as_array())
-    manifest = RunManifest.collect(
+    manifest = manifest_lines(
         "eval", {"correlation": args.correlation},
         [args.vectors, args.evalset],
     )
@@ -212,7 +201,7 @@ def cmd_agree(args) -> int:
         report = within_language_agreement(*sets, K=args.subset_size)
     else:
         report = cross_language_agreement(*sets, K=args.subset_size)
-    manifest = RunManifest.collect(
+    manifest = manifest_lines(
         "agree", {"mode": args.mode, "K": args.subset_size}, paths,
     )
     header = "label\tmean\tstd\tsamples\tdegenerate"
@@ -247,7 +236,7 @@ def cmd_quintiles(args) -> int:
         overlap = quintile_fscore(model.as_array(), human.as_array(),
                                   q=args.quantiles)
         inputs = [args.scores, *paths]
-    manifest = RunManifest.collect(
+    manifest = manifest_lines(
         "quintiles",
         {"mode": args.mode, "q": args.quantiles, "K": args.subset_size},
         inputs,
@@ -262,7 +251,7 @@ def cmd_quintiles(args) -> int:
 
 def cmd_combine(args) -> int:
     if args.method == "li":
-        if not args.scores or len(args.scores) != 2:
+        if not args.scores:
             raise ArgumentError("li needs exactly two --scores files")
         s1, s2 = align_scores(
             read_scores(args.scores[0]),
@@ -271,14 +260,14 @@ def cmd_combine(args) -> int:
         if not s1.scores:
             raise AlignmentError("score files share no pair indices")
         combined = interpolate_scores(s1, s2, args.lam)
-        manifest = RunManifest.collect(
+        manifest = manifest_lines(
             "combine", {"method": "li", "lambda": args.lam}, args.scores
         )
         write_scores(combined, read_pair_list(args.scores[0]), args.out,
-                     header_lines=manifest.comment_lines())
+                     header_lines=manifest)
         return 0
     # cca
-    if not args.vectors or len(args.vectors) != 2 or not args.lexicon:
+    if not args.vectors or not args.lexicon:
         raise ArgumentError("cca needs two --vectors (LANG=PATH) and "
                             "--lexicon")
     (path1, path2), (t1, t2) = _load_tagged(args.vectors, load_vectors)
@@ -293,7 +282,7 @@ def cmd_combine(args) -> int:
     if args.model_out:
         save_cca_model(model, args.model_out)
     if args.report_out:
-        manifest = RunManifest.collect(
+        manifest = manifest_lines(
             "combine",
             {"method": "cca", "eps": args.eps,
              "components": args.components, "side": args.side,
@@ -312,12 +301,11 @@ def cmd_qc(args) -> int:
     cleaned, results = apply_outlier_filter(
         evaluation_set, threshold=args.threshold, iterate=args.iterate
     )
-    manifest = RunManifest.collect(
+    manifest = manifest_lines(
         "qc", {"threshold": args.threshold, "iterate": args.iterate},
         [args.scores],
     )
-    save_evaluation_set(cleaned, args.out,
-                        header_lines=manifest.comment_lines())
+    save_evaluation_set(cleaned, args.out, header_lines=manifest)
     if args.log:
         header = "batch\tannotator\tstatistic\tverdict"
         rows = []
@@ -333,10 +321,12 @@ def cmd_qc(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    _, tables = _load_tagged(args.vectors, load_vectors)
-    _, sets = _load_tagged(args.evalset, load_evaluation_set)
+    vector_paths, tables = _load_tagged(args.vectors, load_vectors)
+    evalset_paths, sets = _load_tagged(args.evalset, load_evaluation_set)
     report = vocabulary_coverage(tables, sets)
-    write_coverage(report, sets[0], args.out)
+    manifest = manifest_lines("coverage", {},
+                              [*vector_paths, *evalset_paths])
+    write_coverage(report, sets[0], args.out, header_lines=manifest)
     print(f"covered {len(report.covered)} / excluded {len(report.excluded)}")
     return 0
 
@@ -345,8 +335,7 @@ def cmd_baseline(args) -> int:
     corpus = read_corpus(args.corpus, args.language)
     if args.clean:
         corpus = clean_tokens(corpus)
-    evaluation_set = load_evaluation_set(args.evalset,
-                                         language=args.language)
+    evaluation_set = load_evaluation_set(args.evalset)
     human = human_mean_scores(evaluation_set)
     targets = sorted({w for p in evaluation_set.pairs.pairs for w in p})
 
@@ -360,7 +349,7 @@ def cmd_baseline(args) -> int:
         combiner=args.method, fraction=args.fraction,
         reps=args.reps, seed=args.seed,
     )
-    manifest = RunManifest.collect(
+    manifest = manifest_lines(
         "baseline",
         {"method": args.method, "fraction": args.fraction,
          "reps": args.reps, "seed": args.seed, "k": args.k,
@@ -419,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectors", required=True)
     p.add_argument("--evalset", required=True)
     p.add_argument("--language", default="und", help="training language")
-    p.add_argument("--jl", help="judgment language tag for the eval set")
     p.add_argument("--correlation", choices=sorted(_CORRELATIONS),
                    default="spearman")
     p.add_argument("--out")

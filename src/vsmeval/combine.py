@@ -15,7 +15,6 @@ from .corpus import Corpus, sample_corpus
 from .errors import (
     AlignmentError,
     ArgumentError,
-    ConstantInputError,
     DegenerateError,
     FormatError,
     WordLookupError,
@@ -324,7 +323,7 @@ def monolingual_baseline(
                 raise DegenerateError("coverage collapse")
             rhos.append(spearman(combined.as_array(),
                                  covered_human.as_array()))
-        except (DegenerateError, ConstantInputError):
+        except DegenerateError:
             failures += 1
     if not rhos:
         raise DegenerateError("all baseline repetitions failed")
@@ -364,6 +363,8 @@ def load_cca_model(path) -> CcaModel:
     except ValueError:
         raise FormatError("non-numeric CCA model header field",
                           path=path, line=lineno)
+    if not np.isfinite(eps):
+        raise FormatError("non-finite eps", path=path, line=lineno)
     body = list(lines)
     if len(body) != 3 + d1 + d2:
         raise FormatError(
@@ -376,9 +377,12 @@ def load_cca_model(path) -> CcaModel:
             raise FormatError(f"expected {width} values, got {len(fields)}",
                               path=path, line=lineno)
         try:
-            rows.append(np.array(fields, dtype=float))
+            row = np.array(fields, dtype=float)
         except ValueError:
             raise FormatError("non-numeric value", path=path, line=lineno)
+        if not np.all(np.isfinite(row)):
+            raise FormatError("non-finite value", path=path, line=lineno)
+        rows.append(row)
     return CcaModel(
         languages=(header[0], header[1]),
         mean_1=rows[0],

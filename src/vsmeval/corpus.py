@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -27,21 +27,14 @@ _SENTENCE_BREAK = re.compile(r"[.!?]+|\n+")
 class Corpus:
     language: str
     sentences: tuple[tuple[str, ...], ...]
-    token_count: int = field(init=False)
-    type_count: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "token_count", sum(len(s) for s in self.sentences)
-        )
-        types = {t for s in self.sentences for t in s}
-        object.__setattr__(self, "type_count", len(types))
 
     @property
-    def type_token_ratio(self) -> float:
-        if self.token_count == 0:
-            raise EmptyInputError("type-to-token ratio of an empty corpus")
-        return self.type_count / self.token_count
+    def token_count(self) -> int:
+        return sum(map(len, self.sentences))
+
+    @property
+    def type_count(self) -> int:
+        return len({t for s in self.sentences for t in s})
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 
 from . import __version__
 
@@ -19,24 +18,13 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    parameters: dict
-    inputs: dict  # path -> sha256
-    version: str = __version__
-
-    @classmethod
-    def collect(cls, command: str, parameters: dict, input_paths=()):
-        inputs = {str(p): file_digest(p) for p in input_paths}
-        return cls(command=command, parameters=dict(parameters),
-                   inputs=inputs)
-
-    def comment_lines(self) -> list[str]:
-        payload = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "inputs": self.inputs,
-            "version": self.version,
-        }
-        return ["manifest: " + json.dumps(payload, sort_keys=True)]
+def manifest_lines(command: str, parameters: dict, paths=()) -> list[str]:
+    """The comment lines of a report: the command, its parameters, the
+    SHA-256 of each input keyed by path, and the package version."""
+    payload = {
+        "command": command,
+        "parameters": parameters,
+        "inputs": {str(p): file_digest(p) for p in paths},
+        "version": __version__,
+    }
+    return ["manifest: " + json.dumps(payload, sort_keys=True)]

@@ -4,6 +4,7 @@ vectors keyed by pair index, and their TSV files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +16,6 @@ from .vectors import VectorTable
 
 @dataclass(frozen=True)
 class WordPairList:
-    language: str
     pairs: tuple[tuple[str, str], ...]
     source_ids: tuple[int, ...]
 
@@ -125,7 +125,7 @@ def align_scores(
             ScoreVector({i: b.scores[i] for i in common}))
 
 
-def read_pair_list(path, language: str = "und") -> WordPairList:
+def read_pair_list(path) -> WordPairList:
     """TSV of ``pair_index<TAB>word1<TAB>word2`` (extra columns ignored);
     ``#`` comments and a header row before the first pair are skipped."""
     pairs, ids = [], []
@@ -143,9 +143,7 @@ def read_pair_list(path, language: str = "und") -> WordPairList:
         except ValueError:
             raise FormatError("non-integer pair index", path=path, line=lineno)
         pairs.append((fields[1], fields[2]))
-    return WordPairList(
-        language=language, pairs=tuple(pairs), source_ids=tuple(ids)
-    )
+    return WordPairList(pairs=tuple(pairs), source_ids=tuple(ids))
 
 
 def write_scores(scores: ScoreVector, pairs: WordPairList, path,
@@ -181,9 +179,12 @@ def read_scores(path) -> ScoreVector:
         try:
             if oov:
                 skipped[int(fields[1])] = tuple(fields[4].split(","))
-            else:
-                scores[int(fields[0])] = float(fields[3])
+                continue
+            index, score = int(fields[0]), float(fields[3])
         except ValueError:
             raise FormatError("non-numeric pair index or score",
                               path=path, line=lineno)
+        if not math.isfinite(score):
+            raise FormatError("non-finite score", path=path, line=lineno)
+        scores[index] = score
     return ScoreVector(scores=scores, skipped=skipped)

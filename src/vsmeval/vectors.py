@@ -237,10 +237,13 @@ def vocabulary_coverage(tables, eval_sets) -> CoverageReport:
     )
 
 
-def write_coverage(report: CoverageReport, eval_set, path) -> None:
+def write_coverage(report: CoverageReport, eval_set, path,
+                   header_lines=()) -> None:
     """TSV dump: pair_index, word1, word2, status, missing_in."""
     pos_of = {idx: pos for pos, idx in enumerate(eval_set.pairs.source_ids)}
     with open(path, "w", encoding="utf-8") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
         fh.write("pair_index\tword1\tword2\tstatus\tmissing_in\n")
         for idx in sorted(pos_of):
             w1, w2 = eval_set.pairs.pairs[pos_of[idx]]

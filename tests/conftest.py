@@ -29,8 +29,7 @@ def _rescale_to_range(scores, lo=0.0, hi=10.0):
     return np.clip(lo + (hi - lo) * (scores - smin) / (smax - smin), lo, hi)
 
 
-def make_evalset(scores, language="en", dataset_name="synthetic",
-                 batch_size=50, words=None):
+def make_evalset(scores, language="en", batch_size=50, words=None):
     """Wrap a pairs x annotators score matrix into an EvaluationSet with
     consecutive batches of ``batch_size`` pairs."""
     scores = np.asarray(scores, dtype=float)
@@ -46,9 +45,7 @@ def make_evalset(scores, language="en", dataset_name="synthetic",
         pos += batch_size
     return EvaluationSet(
         language=language,
-        dataset_name=dataset_name,
-        pairs=WordPairList(language=language, pairs=pairs,
-                           source_ids=tuple(range(n))),
+        pairs=WordPairList(pairs=pairs, source_ids=tuple(range(n))),
         scores=scores,
         batches=tuple(batches),
     )
@@ -147,13 +144,11 @@ def rng():
 def ws353_shaped():
     """350 pairs in 7 batches of 50, 13 annotators, random scores."""
     r = np.random.default_rng(7)
-    return make_evalset(r.uniform(0, 10, size=(350, 13)), language="en",
-                        dataset_name="ws353")
+    return make_evalset(r.uniform(0, 10, size=(350, 13)), language="en")
 
 
 @pytest.fixture
 def sl999_shaped():
     """999 pairs: 19 batches of 50 plus one of 49."""
     r = np.random.default_rng(9)
-    return make_evalset(r.uniform(0, 10, size=(999, 13)), language="en",
-                        dataset_name="sl999")
+    return make_evalset(r.uniform(0, 10, size=(999, 13)), language="en")

@@ -479,8 +479,7 @@ def _evalsets(draw):
     cuts = sorted(c for c in draw(st.sets(st.integers(1, n))) if c < n)
     batches = tuple(tuple(order[a:b])
                     for a, b in zip([0, *cuts], [*cuts, n]))
-    return EvaluationSet("en", "drawn", WordPairList("en", tuple(words),
-                                                     tuple(ids)),
+    return EvaluationSet("en", WordPairList(tuple(words), tuple(ids)),
                          np.array(scores, dtype=float), batches)
 
 
@@ -525,6 +524,13 @@ class TestEvaluationSetIO:
     def test_score_range_validation(self, rng):
         with pytest.raises(ValidationError):
             make_evalset(np.full((5, 13), 11.0), batch_size=5)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_score_out_of_range(self, value):
+        scores = np.full((5, 13), 5.0)
+        scores[2, 7] = value
+        with pytest.raises(ValidationError, match=r"\[0, 10\]"):
+            make_evalset(scores, batch_size=5)
 
     def test_human_mean_scores(self, rng):
         scores = rng.uniform(0, 10, size=(10, 13))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -259,7 +261,8 @@ def test_coverage_command(workspace):
                  "--evalset", f"en={workspace / 'evalset.tsv'}",
                  "--out", str(out)])
     assert code == 0
-    lines = out.read_text().splitlines()
+    lines = [ln for ln in out.read_text().splitlines()
+             if not ln.startswith("#")]
     assert len(lines) == 9
 
 
@@ -306,12 +309,23 @@ _CCA_ROWS = "0.0\n0.0\n1.0\n1.0\n1.0\n"
     (load_evaluation_set, _EVALSET_HEADER + "0\ta\tb\t0\t1.0\t2.0\n"
      "x\tc\td\t0\t1.0\t2.0\n", 3),
     (load_evaluation_set, _EVALSET_HEADER + "0\ta\tb\t0\t1.0\tfive\n", 2),
+    *[(load_evaluation_set, _EVALSET_HEADER + "0\ta\tb\t0\t1.0\t2.0\n"
+       f"1\tc\td\t0\t\t{cell}\n", 3)
+      for cell in ("inf", "-inf", "nan", "1e999")],
     (read_scores, "pair_index\tword1\tword2\tscore\n#OOV\t3\n", 2),
     (read_scores, "0\ta\tb\t0.5\n1\tc\td\thigh\n", 2),
+    *[(read_scores, f"# note\n0\ta\tb\t0.5\n1\tc\td\t{cell}\n", 3)
+      for cell in ("nan", "inf", "-inf")],
     (load_cca_model, "en de x 1 1 1e-08 1\n" + _CCA_ROWS, 1),
     (load_cca_model, "en de 1 1 1 small 1\n" + _CCA_ROWS, 1),
-], ids=["evalset-index", "evalset-score", "scores-oov", "scores-score",
-        "cca-dimension", "cca-eps"])
+    (load_cca_model, "en de 1 1 1 inf 1\n" + _CCA_ROWS, 1),
+    (load_cca_model, "en de 1 1 1 1e-08 1\n0.0\n0.0\nnan\n1.0\n1.0\n", 4),
+    (load_cca_model, "en de 1 1 1 1e-08 1\n0.0\n0.0\n1.0\n1.0\n-inf\n", 6),
+], ids=["evalset-index", "evalset-score", "evalset-inf", "evalset-minus-inf",
+        "evalset-nan", "evalset-overflow", "scores-oov", "scores-score",
+        "scores-nan", "scores-inf", "scores-minus-inf", "cca-dimension",
+        "cca-eps", "cca-eps-inf", "cca-correlation-nan",
+        "cca-projection-minus-inf"])
 def test_malformed_numbers_are_located_format_errors(tmp_path, loader, text,
                                                      line):
     path = tmp_path / "input.tsv"
@@ -563,6 +577,17 @@ def _fuzz_cases(ws):
     }
 
 
+def _add_score_files(ws):
+    """Add a copy of the evaluation set as evalset_de.tsv, and s1.tsv and
+    s2.tsv, the scores of its pairs under the two vector tables."""
+    ev = ws / "evalset.tsv"
+    (ws / "evalset_de.tsv").write_bytes(ev.read_bytes())
+    for vectors, scores in (("vectors.txt", "s1.tsv"),
+                            ("vectors_de.txt", "s2.tsv")):
+        assert main(["score", "--vectors", str(ws / vectors),
+                     "--pairs", str(ev), "--out", str(ws / scores)]) == 0
+
+
 @st.composite
 def _one_damaged_file(draw, originals):
     """The position of one input file and its damaged bytes."""
@@ -572,13 +597,7 @@ def _one_damaged_file(draw, originals):
 
 @pytest.mark.parametrize("command", sorted(_fuzz_cases(Path("."))))
 def test_cli_on_a_damaged_input_exits_0_2_3_or_4(workspace, command):
-    ev = workspace / "evalset.tsv"
-    (workspace / "evalset_de.tsv").write_bytes(ev.read_bytes())
-    for vectors, scores in (("vectors.txt", "s1.tsv"),
-                            ("vectors_de.txt", "s2.tsv")):
-        assert main(["score", "--vectors", str(workspace / vectors),
-                     "--pairs", str(ev),
-                     "--out", str(workspace / scores)]) == 0
+    _add_score_files(workspace)
     argv, inputs = _fuzz_cases(workspace)[command]
     out = str(workspace / "out.tsv")
     originals = [path.read_bytes() for path in inputs]
@@ -599,6 +618,94 @@ def test_cli_on_a_damaged_input_exits_0_2_3_or_4(workspace, command):
             inputs[i].write_bytes(originals[i])
 
     check()
+
+
+def _replace_last_cell(path, line, value):
+    """Set the last tab-separated cell of physical line ``line``."""
+    lines = path.read_text().splitlines()
+    lines[line - 1] = lines[line - 1].rsplit("\t", 1)[0] + "\t" + value
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("command", ["qc", "agree", "eval"])
+def test_non_finite_judgment_exit_3_with_line(workspace, capsys, command,
+                                              cell):
+    ev = workspace / "evalset.tsv"
+    _replace_last_cell(ev, 3, cell)
+    out, log = workspace / "out.tsv", workspace / "log.tsv"
+    argv = {
+        "qc": ["qc", "--scores", str(ev), "--log", str(log)],
+        "agree": ["agree", "--mode", "within", "--evalset", f"en={ev}"],
+        "eval": ["eval", "--vectors", str(workspace / "vectors.txt"),
+                 "--evalset", str(ev)],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert f"non-finite score [{ev}:3]" in capsys.readouterr().err
+    assert not out.exists() and not log.exists()
+
+
+@pytest.mark.parametrize("command", ["combine-li", "quintiles-model-human"])
+def test_non_finite_model_score_exit_3_with_line(workspace, capsys,
+                                                 command):
+    _add_score_files(workspace)
+    s1 = workspace / "s1.tsv"
+    # line 4 follows the manifest, the header and the first pair
+    _replace_last_cell(s1, 4, "nan")
+    out = workspace / "out.tsv"
+    argv, _ = _fuzz_cases(workspace)[command]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert f"non-finite score [{s1}:4]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _report_cases(ws):
+    """Per command that writes a report: its argv, which writes the report
+    to report.tsv, and the inputs that the report's manifest must name."""
+    ev, ev_de = ws / "evalset.tsv", ws / "evalset_de.tsv"
+    v, v_de = ws / "vectors.txt", ws / "vectors_de.txt"
+    lex, corpus = ws / "lexicon.tsv", ws / "corpus.txt"
+    s1, s2 = ws / "s1.tsv", ws / "s2.tsv"
+    out = ws / "report.tsv"
+    return {
+        "score": (["score", "--vectors", v, "--pairs", ev, "--out", out],
+                  [v, ev]),
+        "eval": (["eval", "--vectors", v, "--evalset", ev, "--out", out],
+                 [v, ev]),
+        "agree-samples": (["agree", "--mode", "within", "--evalset",
+                           f"en={ev}", "--out", ws / "agree.tsv",
+                           "--samples-out", out], [ev]),
+        "quintiles": (["quintiles", "--mode", "cross", "--evalset",
+                       f"en={ev}", "--evalset", f"de={ev_de}",
+                       "--out", out], [ev, ev_de]),
+        "combine-li": (["combine", "--method", "li", "--scores", s1, s2,
+                        "--out", out], [s1, s2]),
+        "combine-cca": (["combine", "--method", "cca", "--vectors",
+                         f"en={v}", f"de={v_de}", "--lexicon", lex,
+                         "--out", ws / "c.txt", "--report-out", out],
+                        [v, v_de, lex]),
+        "qc-log": (["qc", "--scores", ev, "--out", ws / "q.tsv",
+                    "--log", out], [ev]),
+        "coverage": (["coverage", "--vectors", f"en={v}", "--vectors",
+                      f"de={v_de}", "--evalset", f"en={ev}", "--evalset",
+                      f"de={ev_de}", "--out", out], [v, v_de, ev, ev_de]),
+        "baseline": (["baseline", "--corpus", corpus, "--evalset", ev,
+                      "--k", "10", "--reps", "2", "--seed", "3",
+                      "--out", out], [corpus, ev]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_report_cases(Path("."))))
+def test_every_report_starts_with_its_manifest(workspace, case):
+    _add_score_files(workspace)
+    argv, inputs = _report_cases(workspace)[case]
+    assert main([str(a) for a in argv]) == 0
+    first = (workspace / "report.tsv").read_text().splitlines()[0]
+    assert first.startswith("# manifest: ")
+    manifest = json.loads(first[len("# manifest: "):])
+    assert manifest["command"] == argv[0]
+    assert manifest["inputs"] == {
+        str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs}
 
 
 def _numeric_cases(ws):

@@ -335,7 +335,6 @@ class TestMonolingualBaseline:
         words = [f"w{i}" for i in range(12)]
         corpus = _word_corpus(rng, words)
         pairs = WordPairList(
-            "en",
             tuple((words[2 * i], words[2 * i + 1]) for i in range(6)),
             tuple(range(6)),
         )

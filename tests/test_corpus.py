@@ -176,14 +176,15 @@ def test_sample_then_vocab_equals_direct_vocab():
         assert build_vocabulary(sampled) == build_vocabulary(corpus)
 
 
-def test_type_token_ratio_matches_recount(rng):
+def test_type_and_token_counts_match_recount(rng):
     words = [f"w{i}" for i in range(20)]
     sentences = tuple(
         tuple(rng.choice(words, size=5)) for _ in range(200)
     )
     corpus = Corpus("en", sentences)
     tokens = [t for s in sentences for t in s]
-    assert corpus.type_token_ratio == len(set(tokens)) / len(tokens)
+    assert corpus.type_count == len(set(tokens))
+    assert corpus.token_count == len(tokens)
 
 
 def test_every_vocab_word_appears_in_a_sentence():

@@ -66,7 +66,7 @@ def test_cosine_positive_scale_invariance(v, alpha, beta):
 
 
 def _pairlist(pairs):
-    return WordPairList(language="en", pairs=tuple(pairs),
+    return WordPairList(pairs=tuple(pairs),
                         source_ids=tuple(range(len(pairs))))
 
 
