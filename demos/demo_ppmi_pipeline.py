@@ -33,7 +33,7 @@ print(f"after cleaning: {cleaned.token_count} tokens, "
       f"{cleaned.type_count} types")
 
 vocab = build_vocabulary(cleaned)
-print("most frequent stems:", ", ".join(vocab.frequency_order[:6]))
+print("most frequent stems:", ", ".join(list(vocab)[:6]))
 
 targets = ["cat", "dog", "mous", "chees", "mat", "anim"]
 table = build_bow_table(cleaned, targets, vocab,

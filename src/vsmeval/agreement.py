@@ -43,7 +43,6 @@ from .errors import (
 )
 from .scoring import ScoreVector, WordPairList
 from .stats import (
-    QuintileOverlap,
     WelchResult,
     column_ranks,
     quintile_overlaps,
@@ -158,7 +157,9 @@ def detect_outliers(
     """
     if np.isnan(threshold):
         raise ArgumentError("the outlier threshold is NaN")
-    batch_scores = np.asarray(batch_scores, dtype=float)
+    # C order whatever the caller's layout: the column means then sum in
+    # the same order, bit for bit
+    batch_scores = np.ascontiguousarray(batch_scores, dtype=float)
     m = batch_scores.shape[1]
     if m < 3:
         raise ArgumentError("outlier detection needs at least 3 annotators")
@@ -389,7 +390,7 @@ def quintile_agreement_analysis(
     set2: EvaluationSet | None = None,
     K: int = DEFAULT_SUBSET_SIZE,
     q: int = 5,
-) -> QuintileOverlap:
+) -> tuple[float, ...]:
     """Average per-quintile relative F over all K-subset splits.
 
     Within-language mode (``set2`` omitted or identical) ranks subset vs
@@ -412,7 +413,7 @@ def quintile_agreement_analysis(
     for f, m in _split_means(sets, K, within_mode, batch_overlaps):
         f_sums += f
         count += m
-    return QuintileOverlap(f_scores=tuple(f_sums / count))
+    return tuple((f_sums / count).tolist())
 
 
 def human_mean_scores(evaluation_set: EvaluationSet) -> ScoreVector:
@@ -524,9 +525,7 @@ def apply_outlier_filter(
     for b in range(len(evaluation_set.batches)):
         matrix = evaluation_set.batch_matrix(b)
         present = np.flatnonzero(~np.isnan(matrix).all(axis=0)).tolist()
-        # C order, as the batch itself: the means then sum the same way
-        result = detect_outliers(np.ascontiguousarray(matrix[:, present]),
-                                 threshold)
+        result = detect_outliers(matrix[:, present], threshold)
         kept = [present[j] for j in result.kept]
         excluded = [present[j] for j in result.excluded]
         if iterate:

@@ -9,11 +9,11 @@ each of the k most frequent corpus words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
-from .corpus import Corpus, Vocabulary
+from .corpus import Corpus
 from .errors import ArgumentError, DegenerateError
 from .vectors import VectorTable
 
@@ -34,7 +34,7 @@ class CountMatrix:
 def count_cooccurrences(
     corpus: Corpus,
     targets,
-    vocab: Vocabulary,
+    vocab: dict[str, int],
     k: int,
     window: int,
 ) -> CountMatrix:
@@ -48,7 +48,9 @@ def count_cooccurrences(
         raise ArgumentError(f"k must be >= 1, got {k}")
     if window < 1:
         raise ArgumentError(f"window must be >= 1, got {window}")
-    col_words = vocab.top_k(k)  # raises if k exceeds vocabulary size
+    if k > len(vocab):
+        raise ArgumentError(f"k={k} exceeds vocabulary size {len(vocab)}")
+    col_words = tuple(islice(vocab, k))
     row_words = tuple(sorted(set(targets)))
     row_index = {w: i for i, w in enumerate(row_words)}
     col_index = {w: j for j, w in enumerate(col_words)}
@@ -98,7 +100,7 @@ def ppmi_transform(m: CountMatrix) -> VectorTable:
 def build_bow_table(
     corpus: Corpus,
     targets,
-    vocab: Vocabulary,
+    vocab: dict[str, int],
     k: int = 10000,
     window: int = 2,
 ) -> VectorTable:

@@ -218,7 +218,7 @@ def cmd_agree(args) -> int:
 def cmd_quintiles(args) -> int:
     if args.mode in ("within", "cross"):
         inputs, sets = _mode_sets(args)
-        overlap = quintile_agreement_analysis(*sets, K=args.subset_size,
+        f_scores = quintile_agreement_analysis(*sets, K=args.subset_size,
                                               q=args.quantiles)
     else:  # model-human
         if not (args.scores and args.evalset and len(args.evalset) == 1):
@@ -233,8 +233,8 @@ def cmd_quintiles(args) -> int:
         )
         if len(model.scores) < args.quantiles:
             raise DegenerateError("too few covered pairs for quantile split")
-        overlap = quintile_fscore(model.as_array(), human.as_array(),
-                                  q=args.quantiles)
+        f_scores = quintile_fscore(model.as_array(), human.as_array(),
+                                   q=args.quantiles)
         inputs = [args.scores, *paths]
     manifest = manifest_lines(
         "quintiles",
@@ -242,7 +242,7 @@ def cmd_quintiles(args) -> int:
         inputs,
     )
     header = "quintile\tf_score"
-    rows = [f"{i + 1}\t{_fmt(f)}" for i, f in enumerate(overlap.f_scores)]
+    rows = [f"{i + 1}\t{_fmt(f)}" for i, f in enumerate(f_scores)]
     _write_tsv(args.out, manifest, header, rows)
     for row in rows:
         print(row)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -35,26 +37,6 @@ class Corpus:
     @property
     def type_count(self) -> int:
         return len({t for s in self.sentences for t in s})
-
-
-@dataclass(frozen=True)
-class Vocabulary:
-    entries: dict[str, tuple[int, int]]  # word -> (id, count)
-    total_tokens: int
-    frequency_order: tuple[str, ...]
-
-    def count(self, word: str) -> int:
-        return self.entries[word][1]
-
-    def top_k(self, k: int) -> tuple[str, ...]:
-        if k > len(self.frequency_order):
-            raise ArgumentError(
-                f"k={k} exceeds vocabulary size {len(self.frequency_order)}"
-            )
-        return self.frequency_order[:k]
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def tokenize_corpus(
@@ -108,22 +90,13 @@ def clean_tokens(
     return Corpus(language=corpus.language, sentences=tuple(sentences))
 
 
-def build_vocabulary(corpus: Corpus) -> Vocabulary:
-    """Exact corpus frequencies; ids assigned in frequency order with
-    lexicographic tiebreak for determinism."""
-    if corpus.token_count == 0:
+def build_vocabulary(corpus: Corpus) -> dict[str, int]:
+    """Exact corpus frequencies, word -> count, in frequency order: count
+    descending, then lexicographic, for determinism."""
+    counts = Counter(chain.from_iterable(corpus.sentences))
+    if not counts:
         raise EmptyInputError("cannot build a vocabulary from an empty corpus")
-    counts: dict[str, int] = {}
-    for sent in corpus.sentences:
-        for tok in sent:
-            counts[tok] = counts.get(tok, 0) + 1
-    order = tuple(sorted(counts, key=lambda w: (-counts[w], w)))
-    entries = {w: (i, counts[w]) for i, w in enumerate(order)}
-    return Vocabulary(
-        entries=entries,
-        total_tokens=corpus.token_count,
-        frequency_order=order,
-    )
+    return dict(sorted(counts.items(), key=lambda wc: (-wc[1], wc[0])))
 
 
 def sample_corpus(corpus: Corpus, fraction: float, seed: int) -> Corpus:

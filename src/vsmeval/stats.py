@@ -42,11 +42,6 @@ class WelchResult:
     p_value: float  # two-sided
 
 
-@dataclass(frozen=True)
-class QuintileOverlap:
-    f_scores: tuple[float, ...]
-
-
 def _paired(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -204,7 +199,7 @@ def quintile_overlaps(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return inter / np.array(sizes)[:, None]
 
 
-def quintile_fscore(x, y, q: int = 5) -> QuintileOverlap:
+def quintile_fscore(x, y, q: int = 5) -> tuple[float, ...]:
     """Split the descending orders of two aligned score vectors (higher is
     better) into q contiguous blocks and compute
     F_i = 2|A_i & B_i| / (|A_i| + |B_i|) = |A_i & B_i| / |A_i| per
@@ -213,5 +208,4 @@ def quintile_fscore(x, y, q: int = 5) -> QuintileOverlap:
     Ties at block boundaries are resolved by stable pair-position order.
     """
     x, y = _paired(x, y)
-    return QuintileOverlap(f_scores=tuple(
-        quintile_overlaps(x[:, None], y[:, None], q)[:, 0].tolist()))
+    return tuple(quintile_overlaps(x[:, None], y[:, None], q)[:, 0].tolist())

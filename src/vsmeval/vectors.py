@@ -198,9 +198,15 @@ def vocabulary_coverage(tables, eval_sets) -> CoverageReport:
     language's table in ANY language version.
 
     ``tables`` and ``eval_sets`` are matched by language code; languages
-    without a table are skipped (no model to cover them).
+    without a table are skipped (no model to cover them), and two tables
+    of one language are refused.
     """
-    by_language = {t.language: t for t in tables}
+    by_language = {}
+    for t in tables:
+        if t.language in by_language:
+            raise ArgumentError(
+                f"language {t.language!r} names more than one vector table")
+        by_language[t.language] = t
     lengths = {len(s.pairs.pairs) for s in eval_sets}
     if len(lengths) > 1:
         raise AlignmentError(

@@ -206,7 +206,7 @@ def test_quintile_u_shape():
         sets = synthetic_languages(seed, n_langs=2, n_batches=2,
                                    extreme_consensus=True)
         overlap = quintile_agreement_analysis(sets[0], sets[1])
-        f = overlap.f_scores
+        f = overlap
         assert min(f[0], f[4]) > max(f[1], f[2], f[3]), (
             f"seed {seed}: f_scores {f}"
         )

@@ -83,6 +83,15 @@ class TestOutliers:
                 abs(means[j] - mu) / sd, abs=1e-12
             )
 
+    def test_statistics_independent_of_memory_order(self, rng):
+        for _ in range(20):
+            scores = np.round(rng.uniform(0, 10, size=(50, 13)), 1)
+            c_order = detect_outliers(scores, threshold=np.inf)
+            f_order = detect_outliers(np.asfortranarray(scores),
+                                      threshold=np.inf)
+            assert c_order.statistics.tobytes() == \
+                f_order.statistics.tobytes()
+
     def test_infinite_threshold_keeps_everyone(self, rng):
         scores = rng.uniform(0, 10, size=(10, 5))
         result = detect_outliers(scores, threshold=np.inf)
@@ -361,7 +370,7 @@ class TestQuintileAnalysis:
         s1 = make_evalset(scores, language="en")
         s2 = make_evalset(scores.copy(), language="de")
         overlap = quintile_agreement_analysis(s1, s2)
-        assert np.allclose(overlap.f_scores, 1.0)
+        assert np.allclose(overlap, 1.0)
 
     def test_independent_scores_near_chance(self):
         rng = np.random.default_rng(42)
@@ -371,13 +380,13 @@ class TestQuintileAnalysis:
                           language="de", batch_size=100)
         overlap = quintile_agreement_analysis(s1, s2)
         # middle quintile F hovers near the 1/q chance baseline
-        assert abs(overlap.f_scores[2] - 0.2) < 0.1
+        assert abs(overlap[2] - 0.2) < 0.1
 
     def test_u_shape_with_extreme_consensus(self):
         sets = synthetic_languages(5, n_langs=2, n_batches=2,
                                    extreme_consensus=True)
         overlap = quintile_agreement_analysis(sets[0], sets[1])
-        f = overlap.f_scores
+        f = overlap
         for middle in (f[1], f[2], f[3]):
             assert f[0] > middle
             assert f[4] > middle
@@ -386,8 +395,8 @@ class TestQuintileAnalysis:
         scores = rng.uniform(0, 10, size=(10, 13))
         evalset = make_evalset(scores, batch_size=10)
         overlap = quintile_agreement_analysis(evalset)
-        assert len(overlap.f_scores) == 5
-        assert all(0.0 <= f <= 1.0 for f in overlap.f_scores)
+        assert len(overlap) == 5
+        assert all(0.0 <= f <= 1.0 for f in overlap)
 
 
 class TestParallelWalk:
@@ -424,7 +433,7 @@ class TestParallelWalk:
         within, cross = call(agreement._agreement_reports, sets, 6, True)
         driver = call(significance_driver, sets)
         quintiles = [
-            call(quintile_agreement_analysis, *pair, q=q).f_scores
+            call(quintile_agreement_analysis, *pair, q=q)
             for pair in ((sets[1],), (sets[0], sets[1]))
             for q in (5, 7)
         ]

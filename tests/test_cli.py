@@ -266,6 +266,28 @@ def test_coverage_command(workspace):
     assert len(lines) == 9
 
 
+def test_coverage_refuses_two_tables_of_one_language(workspace, capsys):
+    v = workspace / "vectors.txt"
+    full = load_vectors(v, language="en")
+    (w1, _), = load_evaluation_set(workspace / "evalset.tsv").pairs.pairs[:1]
+    keep = [i for i, w in enumerate(full.words) if w != w1]
+    fewer = workspace / "fewer.txt"
+    save_vectors(VectorTable("en", tuple(full.words[i] for i in keep),
+                             full.matrix[keep]), fewer)
+    out = workspace / "coverage.tsv"
+    evalset = ["--evalset", f"en={workspace / 'evalset.tsv'}"]
+    assert main(["coverage", "--vectors", f"en={fewer}", *evalset,
+                 "--out", str(out)]) == 0
+    assert "\texcluded\t" in out.read_text()
+    capsys.readouterr()
+    for first, second in ((v, fewer), (fewer, v)):
+        code = main(["coverage", "--vectors", f"en={first}",
+                     "--vectors", f"en={second}", *evalset,
+                     "--out", str(out)])
+        assert code == 2
+        assert "'en'" in capsys.readouterr().err
+
+
 def test_baseline_deterministic(workspace):
     out = workspace / "baseline.tsv"
     _run_twice_identical(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vsmeval.corpus import (
     Corpus,
@@ -111,15 +113,15 @@ def test_clean_is_idempotent():
 
 def test_vocabulary_counts_and_order():
     vocab = build_vocabulary(Corpus("en", (("a", "b", "a"),)))
-    assert vocab.count("a") == 2
-    assert vocab.count("b") == 1
-    assert vocab.frequency_order == ("a", "b")
-    assert vocab.total_tokens == 3
+    assert vocab["a"] == 2
+    assert vocab["b"] == 1
+    assert tuple(vocab) == ("a", "b")
+    assert sum(vocab.values()) == 3
 
 
 def test_vocabulary_lexicographic_tiebreak():
     vocab = build_vocabulary(Corpus("en", (("b", "a"),)))
-    assert vocab.frequency_order == ("a", "b")
+    assert tuple(vocab) == ("a", "b")
 
 
 def test_vocabulary_empty_corpus_rejected():
@@ -139,8 +141,33 @@ def test_vocabulary_matches_naive_recount(rng):
     for sent in sentences:
         for tok in sent:
             naive[tok] = naive.get(tok, 0) + 1
-    assert {w: vocab.count(w) for w in vocab.entries} == naive
-    assert sum(naive.values()) == vocab.total_tokens
+    assert {w: vocab[w] for w in vocab} == naive
+    assert sum(naive.values()) == sum(vocab.values())
+
+
+@st.composite
+def _tie_heavy_sentences(draw):
+    """Sentences over a pool of at most six words, so that several words
+    share a count in most examples."""
+    pool = draw(st.lists(st.text("abAZé", min_size=1, max_size=3),
+                         min_size=1, max_size=6, unique=True))
+    word = st.sampled_from(pool)
+    return draw(st.lists(st.lists(word, min_size=1, max_size=5),
+                         min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tie_heavy_sentences())
+@example([["b", "a"], ["ab", "B"], ["é", "a", "b"]])
+def test_vocabulary_order_under_ties_property(sentences):
+    corpus = Corpus("en", tuple(map(tuple, sentences)))
+    naive = {}
+    for sent in sentences:
+        for tok in sent:
+            naive[tok] = naive.get(tok, 0) + 1
+    # by word, then stably by count descending: (-count, word) order
+    expected = sorted(sorted(naive.items()), key=lambda wc: -wc[1])
+    assert list(build_vocabulary(corpus).items()) == expected
 
 
 def test_sample_full_fraction_is_identity():
@@ -173,7 +200,8 @@ def test_sample_then_vocab_equals_direct_vocab():
     corpus = Corpus("en", (("a", "b"), ("b", "c"), ("c", "d")))
     for seed in range(5):
         sampled = sample_corpus(corpus, 1.0, seed)
-        assert build_vocabulary(sampled) == build_vocabulary(corpus)
+        assert list(build_vocabulary(sampled).items()) == \
+            list(build_vocabulary(corpus).items())
 
 
 def test_type_and_token_counts_match_recount(rng):
@@ -191,7 +219,7 @@ def test_every_vocab_word_appears_in_a_sentence():
     corpus = tokenize_corpus("a b c. d e f. a a b", "en")
     vocab = build_vocabulary(corpus)
     present = {t for s in corpus.sentences for t in s}
-    assert set(vocab.entries) == present
+    assert set(vocab) == present
 
 
 def test_corpus_roundtrip(tmp_path):

@@ -235,14 +235,14 @@ class TestQuintiles:
     def test_identical_rankings(self, rng):
         r = rng.normal(size=25)
         overlap = quintile_fscore(r, r)
-        assert overlap.f_scores == (1.0, 1.0, 1.0, 1.0, 1.0)
+        assert overlap == (1.0, 1.0, 1.0, 1.0, 1.0)
 
     def test_full_reversal_n10(self):
         values = list(range(10))
         r1 = values
         r2 = values[::-1]
         # mirrored blocks of 2 share nothing except the self-mapped middle
-        assert quintile_fscore(r1, r2).f_scores == (0, 0, 1, 0, 0)
+        assert quintile_fscore(r1, r2) == (0, 0, 1, 0, 0)
 
     def test_matches_set_intersection_oracle(self, rng):
         for _ in range(30):
@@ -253,14 +253,13 @@ class TestQuintiles:
             order1 = sorted(range(n), key=lambda i: (-v1[i], i))
             order2 = sorted(range(n), key=lambda i: (-v2[i], i))
             expected = quintile_fscores_sets(order1, order2, sizes)
-            got = quintile_fscore(v1, v2).f_scores
+            got = quintile_fscore(v1, v2)
             assert list(got) == pytest.approx(expected)
 
     def test_symmetry(self, rng):
         r1 = rng.normal(size=33)
         r2 = rng.normal(size=33)
-        assert quintile_fscore(r1, r2).f_scores == \
-            quintile_fscore(r2, r1).f_scores
+        assert quintile_fscore(r1, r2) == quintile_fscore(r2, r1)
 
     def test_ties_follow_pair_position(self, rng):
         # few levels and signed zeros: equal scores keep pair order
@@ -274,7 +273,7 @@ class TestQuintiles:
             order1 = sorted(range(n), key=lambda i: (-v1[i], i))
             order2 = sorted(range(n), key=lambda i: (-v2[i], i))
             expected = quintile_fscores_sets(order1, order2, sizes)
-            assert list(quintile_fscore(v1, v2, q=q).f_scores) == \
+            assert list(quintile_fscore(v1, v2, q=q)) == \
                 pytest.approx(expected)
 
     def test_unequal_or_single_inputs_rejected(self, rng):
