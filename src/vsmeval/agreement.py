@@ -41,14 +41,14 @@ from .errors import (
     FormatError,
     ValidationError,
 )
-from .scoring import ScoreVector, WordPairList
+from .scoring import ScoreVector, WordPairList, record_pair_index
 from .stats import (
     WelchResult,
     column_ranks,
     quintile_overlaps,
     welch_t_test,
 )
-from .textfile import check_cells, read_lines
+from .textfile import check_cells, read_rows, write_lines
 
 ANNOTATORS_PER_BATCH = 13
 DEFAULT_SUBSET_SIZE = 6
@@ -437,9 +437,8 @@ def human_mean_scores(evaluation_set: EvaluationSet) -> ScoreVector:
 def load_evaluation_set(path, language: str | None = None) -> EvaluationSet:
     """TSV with header ``pair_index word1 word2 batch a01..aNN``; empty
     score cells load as NaN (only QC inputs/outputs may contain them),
-    and any other cell must be a finite number."""
-    lines = ((n, line.split("\t")) for n, line in read_lines(path)
-             if not line.startswith("#"))
+    and any other cell must be a finite number in [0, 10]."""
+    lines = read_rows(path)
     lineno, header = next(lines, (None, None))
     if header is None:
         raise FormatError("empty evaluation set", path=path)
@@ -450,7 +449,7 @@ def load_evaluation_set(path, language: str | None = None) -> EvaluationSet:
         )
     if len(header) < 5:
         raise FormatError("no annotator columns", path=path, line=lineno)
-    ids, pairs, rows = [], [], []
+    ids, pairs, rows = {}, [], []  # ids: pair index -> line number
     batches: dict[str, list[int]] = {}  # label -> positions, first seen first
     for lineno, fields in lines:
         if len(fields) != len(header):
@@ -460,7 +459,7 @@ def load_evaluation_set(path, language: str | None = None) -> EvaluationSet:
             )
         cells = fields[4:]
         try:
-            ids.append(int(fields[0]))
+            index = int(fields[0])
             row = [float(v) if v != "" else np.nan for v in cells]
         except ValueError:
             raise FormatError("non-numeric pair index or score",
@@ -468,15 +467,22 @@ def load_evaluation_set(path, language: str | None = None) -> EvaluationSet:
         # only an empty cell may load as NaN; no cell loads as inf
         if sum(map(math.isfinite, row)) + cells.count("") != len(cells):
             raise FormatError("non-finite score", path=path, line=lineno)
+        record_pair_index(ids, index, path, lineno)
         rows.append(row)
         batches.setdefault(fields[3], []).append(len(pairs))
         pairs.append((fields[1], fields[2]))
     if not ids:
         raise FormatError("evaluation set without pairs", path=path)
+    scores = np.array(rows, dtype=float)
+    # NaN, the empty cell, compares False
+    outside = np.flatnonzero(((scores < 0) | (scores > 10)).any(axis=1))
+    if outside.size:
+        raise FormatError("score outside [0, 10]", path=path,
+                          line=list(ids.values())[outside[0]])
     return EvaluationSet(
         language=language or "und",
         pairs=WordPairList(pairs=tuple(pairs), source_ids=tuple(ids)),
-        scores=np.array(rows, dtype=float),
+        scores=scores,
         batches=tuple(tuple(positions) for positions in batches.values()),
     )
 
@@ -493,18 +499,16 @@ def save_evaluation_set(evaluation_set: EvaluationSet, path,
     for b, positions in enumerate(evaluation_set.batches):
         for pos in positions:
             batch_of[pos] = b
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        cols = "\t".join(f"a{j + 1:02d}" for j in range(n_annot))
-        fh.write(f"pair_index\tword1\tword2\tbatch\t{cols}\n")
-        for pos, row in enumerate(
-                evaluation_set.scores.astype(float, copy=False).tolist()):
-            idx = evaluation_set.pairs.source_ids[pos]
-            w1, w2 = evaluation_set.pairs.pairs[pos]
-            # v != v only for NaN, the empty cell
-            cells = "\t".join("" if v != v else repr(v) for v in row)
-            fh.write(f"{idx}\t{w1}\t{w2}\t{batch_of[pos]}\t{cells}\n")
+    cols = "\t".join(f"a{j + 1:02d}" for j in range(n_annot))
+    lines = [f"pair_index\tword1\tword2\tbatch\t{cols}"]
+    for pos, row in enumerate(
+            evaluation_set.scores.astype(float, copy=False).tolist()):
+        idx = evaluation_set.pairs.source_ids[pos]
+        w1, w2 = evaluation_set.pairs.pairs[pos]
+        # v != v only for NaN, the empty cell
+        cells = "\t".join("" if v != v else repr(v) for v in row)
+        lines.append(f"{idx}\t{w1}\t{w2}\t{batch_of[pos]}\t{cells}")
+    write_lines(path, lines, header_lines)
 
 
 def apply_outlier_filter(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 
 from . import __version__
 from .agreement import (
@@ -55,7 +56,7 @@ from .scoring import (
     write_scores,
 )
 from .stats import kendall_tau_b, pearson, quintile_fscore, spearman
-from .textfile import read_lines
+from .textfile import read_rows, write_lines
 from .vectors import (
     load_vectors,
     save_vectors,
@@ -79,14 +80,6 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_tsv(path, manifest: list[str], header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in manifest:
-            fh.write(f"# {line}\n")
-        fh.write(header + "\n")
-        fh.write("".join(row + "\n" for row in rows))
-
-
 def _parse_tagged(value: str) -> tuple[str, str]:
     """'lang=path' -> (lang, path)."""
     if "=" not in value:
@@ -105,15 +98,11 @@ def _load_tagged(values, loader):
             [loader(path, language=lang) for lang, path in tagged])
 
 
-def _first_row(path) -> list[str]:
-    """Cells of the first line that is not blank or a # comment, or []."""
-    return next((line.split("\t") for _, line in read_lines(path)
-                 if not line.startswith("#")), [])
-
-
 def _target_words(path):
-    """Target list for BOW rows: a plain wordlist or a pair file."""
-    if len(_first_row(path)) > 1:
+    """Target list for BOW rows: a plain wordlist, or a pair file, whose
+    first line that is not blank or a # comment has more than one cell."""
+    _, first_row = next(read_rows(path), (None, []))
+    if len(first_row) > 1:
         words = sorted({w for p in read_pair_list(path).pairs for w in p})
     else:
         words = list(read_wordlist(path))
@@ -174,13 +163,12 @@ def cmd_eval(args) -> int:
         "eval", {"correlation": args.correlation},
         [args.vectors, args.evalset],
     )
-    rows = [f"{args.correlation}\t{_fmt(value)}\t{len(covered.scores)}\t"
-            f"{len(model.skipped)}"]
-    header = "statistic\tvalue\tcovered_pairs\tskipped_pairs"
+    lines = ["statistic\tvalue\tcovered_pairs\tskipped_pairs",
+             f"{args.correlation}\t{_fmt(value)}\t{len(covered.scores)}\t"
+             f"{len(model.skipped)}"]
     if args.out:
-        _write_tsv(args.out, manifest, header, rows)
-    print(header)
-    print(rows[0])
+        write_lines(args.out, lines, manifest)
+    print(*lines, sep="\n")
     return 0
 
 
@@ -204,14 +192,15 @@ def cmd_agree(args) -> int:
     manifest = manifest_lines(
         "agree", {"mode": args.mode, "K": args.subset_size}, paths,
     )
-    header = "label\tmean\tstd\tsamples\tdegenerate"
-    rows = [f"{report.label}\t{_fmt(report.mean)}\t{_fmt(report.std)}\t"
-            f"{report.sample_count}\t{report.degenerate_count}"]
-    _write_tsv(args.out, manifest, header, rows)
+    row = (f"{report.label}\t{_fmt(report.mean)}\t{_fmt(report.std)}\t"
+           f"{report.sample_count}\t{report.degenerate_count}")
+    write_lines(args.out, ["label\tmean\tstd\tsamples\tdegenerate", row],
+                manifest)
     if args.samples_out:
-        _write_tsv(args.samples_out, manifest, "rho",
-                   map(repr, report.samples.tolist()))
-    print(rows[0])
+        write_lines(args.samples_out,
+                    chain(["rho"], map(repr, report.samples.tolist())),
+                    manifest)
+    print(row)
     return 0
 
 
@@ -241,11 +230,9 @@ def cmd_quintiles(args) -> int:
         {"mode": args.mode, "q": args.quantiles, "K": args.subset_size},
         inputs,
     )
-    header = "quintile\tf_score"
     rows = [f"{i + 1}\t{_fmt(f)}" for i, f in enumerate(f_scores)]
-    _write_tsv(args.out, manifest, header, rows)
-    for row in rows:
-        print(row)
+    write_lines(args.out, ["quintile\tf_score", *rows], manifest)
+    print(*rows, sep="\n")
     return 0
 
 
@@ -289,10 +276,10 @@ def cmd_combine(args) -> int:
              "max_dim": args.max_dim},
             [path1, path2, args.lexicon],
         )
-        header = "component\tcorrelation"
         rows = [f"{i + 1}\t{_fmt(c)}"
                 for i, c in enumerate(model.correlations)]
-        _write_tsv(args.report_out, manifest, header, rows)
+        write_lines(args.report_out, ["component\tcorrelation", *rows],
+                    manifest)
     return 0
 
 
@@ -307,14 +294,13 @@ def cmd_qc(args) -> int:
     )
     save_evaluation_set(cleaned, args.out, header_lines=manifest)
     if args.log:
-        header = "batch\tannotator\tstatistic\tverdict"
-        rows = []
+        lines = ["batch\tannotator\tstatistic\tverdict"]
         for b in sorted(results):
             result = results[b]
             for j, stat in zip(result.screened, result.statistics):
                 verdict = "excluded" if j in result.excluded else "kept"
-                rows.append(f"{b}\ta{j + 1:02d}\t{_fmt(stat)}\t{verdict}")
-        _write_tsv(args.log, manifest, header, rows)
+                lines.append(f"{b}\ta{j + 1:02d}\t{_fmt(stat)}\t{verdict}")
+        write_lines(args.log, lines, manifest)
     n_excluded = sum(len(r.excluded) for r in results.values())
     print(f"excluded {n_excluded} annotator/batch assignments")
     return 0
@@ -356,11 +342,10 @@ def cmd_baseline(args) -> int:
          "window": args.window},
         [args.corpus, args.evalset],
     )
-    header = "rep\trho"
     rows = [f"{i + 1}\t{_fmt(rho)}" for i, rho in enumerate(result.rhos)]
-    rows.append(f"mean\t{_fmt(result.mean_rho)}")
-    rows.append(f"failures\t{result.failures}")
-    _write_tsv(args.out, manifest, header, rows)
+    write_lines(args.out, ["rep\trho", *rows,
+                           f"mean\t{_fmt(result.mean_rho)}",
+                           f"failures\t{result.failures}"], manifest)
     print(f"mean rho {_fmt(result.mean_rho)} over {len(result.rhos)} reps")
     return 0
 

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .scoring import ScoreVector, WordPairList, align_scores, score_pairs
 from .stats import spearman
-from .textfile import check_cells, read_lines
+from .textfile import check_cells, read_lines, read_rows, write_lines
 from .vectors import VectorTable
 
 
@@ -337,17 +337,13 @@ def save_cca_model(model: CcaModel, path) -> None:
     means, correlations and the two projection matrices row by row."""
     d1 = model.projection_1.shape[0]
     d2 = model.projection_2.shape[0]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"{model.languages[0]} {model.languages[1]} "
-            f"{d1} {d2} {model.n_components} {model.regularization!r} "
-            f"{int(model.normalize_rows)}\n"
-        )
-        for vec in (model.mean_1, model.mean_2, model.correlations):
-            fh.write(" ".join(repr(float(v)) for v in vec) + "\n")
-        for matrix in (model.projection_1, model.projection_2):
-            for row in matrix:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+    header = (f"{model.languages[0]} {model.languages[1]} "
+              f"{d1} {d2} {model.n_components} {model.regularization!r} "
+              f"{int(model.normalize_rows)}")
+    vectors = chain((model.mean_1, model.mean_2, model.correlations),
+                    model.projection_1, model.projection_2)
+    rows = (" ".join(repr(float(v)) for v in vec) for vec in vectors)
+    write_lines(path, chain([header], rows))
 
 
 def load_cca_model(path) -> CcaModel:
@@ -398,8 +394,7 @@ def load_cca_model(path) -> CcaModel:
 def load_lexicon(path) -> TranslationLexicon:
     """TSV with a header row of language codes and one aligned tuple per
     line."""
-    lines = ((n, tuple(line.split("\t"))) for n, line in read_lines(path)
-             if not line.startswith("#"))
+    lines = read_rows(path)
     _, languages = next(lines, (None, None))
     if languages is None:
         raise FormatError("empty lexicon", path=path)
@@ -408,8 +403,10 @@ def load_lexicon(path) -> TranslationLexicon:
         if len(row) != len(languages):
             raise FormatError(f"expected {len(languages)} columns",
                               path=path, line=lineno)
-        rows.append(row)
-    return TranslationLexicon(languages=languages, rows=tuple(rows))
+        if not all(row):
+            raise FormatError("empty cell", path=path, line=lineno)
+        rows.append(tuple(row))
+    return TranslationLexicon(languages=tuple(languages), rows=tuple(rows))
 
 
 def save_lexicon(lexicon: TranslationLexicon, path) -> None:
@@ -418,7 +415,4 @@ def save_lexicon(lexicon: TranslationLexicon, path) -> None:
         if not "".join(row).strip() or row[0].startswith("#"):
             raise FormatError(f"row {row!r} would read as a blank line or "
                               "a comment", path=path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(lexicon.languages) + "\n")
-        for row in lexicon.rows:
-            fh.write("\t".join(row) + "\n")
+    write_lines(path, map("\t".join, (lexicon.languages, *lexicon.rows)))

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ArgumentError, EmptyInputError
 from .stemming import porter_stem
 from .stopwords import ENGLISH_STOPWORDS
-from .textfile import read_lines, read_text
+from .textfile import read_lines, read_text, write_lines
 
 _SENTENCE_BREAK = re.compile(r"[.!?]+|\n+")
 
@@ -123,10 +123,7 @@ def read_corpus(path, language: str, sentence_per_line: bool = True) -> Corpus:
 
 
 def write_corpus(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sent in corpus.sentences:
-            fh.write(" ".join(sent))
-            fh.write("\n")
+    write_lines(path, map(" ".join, corpus.sentences))
 
 
 def read_wordlist(path) -> tuple[str, ...]:

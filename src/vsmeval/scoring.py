@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, FormatError, WordLookupError
-from .textfile import read_lines
+from .textfile import read_lines, read_rows, write_lines
 from .vectors import VectorTable
 
 
@@ -125,23 +125,29 @@ def align_scores(
             ScoreVector({i: b.scores[i] for i in common}))
 
 
+def record_pair_index(first_line: dict, index: int, path, lineno) -> None:
+    """Set ``first_line[index] = lineno``, refusing an index seen before."""
+    if index in first_line:
+        raise FormatError(f"repeated pair index {index}, first on line "
+                          f"{first_line[index]}", path=path, line=lineno)
+    first_line[index] = lineno
+
+
 def read_pair_list(path) -> WordPairList:
     """TSV of ``pair_index<TAB>word1<TAB>word2`` (extra columns ignored);
     ``#`` comments and a header row before the first pair are skipped."""
-    pairs, ids = [], []
-    for lineno, line in read_lines(path):
-        if line.startswith("#"):
-            continue
-        fields = line.split("\t")
+    pairs, ids = [], {}  # pair index -> line number
+    for lineno, fields in read_rows(path):
         if not ids and fields[0] == "pair_index":
             continue
         if len(fields) < 3:
             raise FormatError("expected pair_index, word1, word2",
                               path=path, line=lineno)
         try:
-            ids.append(int(fields[0]))
+            index = int(fields[0])
         except ValueError:
             raise FormatError("non-integer pair index", path=path, line=lineno)
+        record_pair_index(ids, index, path, lineno)
         pairs.append((fields[1], fields[2]))
     return WordPairList(pairs=tuple(pairs), source_ids=tuple(ids))
 
@@ -151,22 +157,22 @@ def write_scores(scores: ScoreVector, pairs: WordPairList, path,
     """TSV dump ``pair_index word1 word2 score``; skipped pairs appear as
     trailing ``#OOV`` comment lines."""
     word_of = dict(zip(pairs.source_ids, pairs.pairs))
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("pair_index\tword1\tword2\tscore\n")
-        for idx in sorted(scores.scores):
-            w1, w2 = word_of.get(idx, ("?", "?"))
-            fh.write(f"{idx}\t{w1}\t{w2}\t{scores.scores[idx]!r}\n")
-        for idx in sorted(scores.skipped):
-            w1, w2 = word_of.get(idx, ("?", "?"))
-            missing = ",".join(scores.skipped[idx])
-            fh.write(f"#OOV\t{idx}\t{w1}\t{w2}\t{missing}\n")
+    lines = ["pair_index\tword1\tword2\tscore"]
+    for idx in sorted(scores.scores):
+        w1, w2 = word_of.get(idx, ("?", "?"))
+        lines.append(f"{idx}\t{w1}\t{w2}\t{scores.scores[idx]!r}")
+    for idx in sorted(scores.skipped):
+        w1, w2 = word_of.get(idx, ("?", "?"))
+        missing = ",".join(scores.skipped[idx])
+        lines.append(f"#OOV\t{idx}\t{w1}\t{w2}\t{missing}")
+    write_lines(path, lines, header_lines)
 
 
 def read_scores(path) -> ScoreVector:
+    """Inverse of ``write_scores``; no pair index, ``#OOV`` or not, repeats."""
     scores: dict[int, float] = {}
     skipped: dict[int, tuple[str, ...]] = {}
+    first_line: dict[int, int] = {}
     for lineno, line in read_lines(path):
         oov = line.startswith("#OOV\t")
         if not oov and line.startswith(("#", "pair_index")):
@@ -177,14 +183,16 @@ def read_scores(path) -> ScoreVector:
             raise FormatError(f"expected {width} columns",
                               path=path, line=lineno)
         try:
-            if oov:
-                skipped[int(fields[1])] = tuple(fields[4].split(","))
-                continue
-            index, score = int(fields[0]), float(fields[3])
+            index = int(fields[1] if oov else fields[0])
+            score = None if oov else float(fields[3])
         except ValueError:
             raise FormatError("non-numeric pair index or score",
                               path=path, line=lineno)
-        if not math.isfinite(score):
+        record_pair_index(first_line, index, path, lineno)
+        if oov:
+            skipped[index] = tuple(fields[4].split(","))
+        elif math.isfinite(score):
+            scores[index] = score
+        else:
             raise FormatError("non-finite score", path=path, line=lineno)
-        scores[index] = score
     return ScoreVector(scores=scores, skipped=skipped)

@@ -1,11 +1,12 @@
-"""The one reader of vsmeval text files.
+"""The one reader and the one writer of vsmeval text files.
 
 Every format is UTF-8. ``read_lines`` streams the non-blank lines of a
 file with their physical line numbers, and ``read_text`` returns a whole
 file; both raise a ``FormatError`` naming path:line on bytes that are not
-UTF-8. Comments are a rule of each format and stay with its parser.
-``check_cells`` is the writers' side: a cell of a tab-separated line may
-hold neither a tab nor a line break.
+UTF-8. ``read_rows`` gives the cells of the TSV lines that are not ``#``
+comments (score files, whose ``#OOV`` lines are data, use ``read_lines``).
+``write_lines`` writes every format; ``check_cells`` refuses a TSV cell
+holding a tab or a line break.
 """
 
 import re
@@ -24,6 +25,24 @@ def read_lines(path):
                 raise FormatError("malformed UTF-8", path=path, line=lineno)
             if not line.isspace():
                 yield lineno, line.rstrip("\n")
+
+
+def read_rows(path):
+    """Yield ``(line number, cells)`` for every tab-separated line that
+    is neither blank nor a ``#`` comment."""
+    for lineno, line in read_lines(path):
+        if not line.startswith("#"):
+            yield lineno, line.split("\t")
+
+
+def write_lines(path, lines, comments=()) -> None:
+    """Write ``# `` + each comment, then each line, every one ending in a
+    line break, as UTF-8; ``lines`` is consumed as it is written."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for comment in comments:
+            fh.write(f"# {comment}\n")
+        for line in lines:  # one write per line: faster than writelines
+            fh.write(line + "\n")
 
 
 def read_text(path) -> str:

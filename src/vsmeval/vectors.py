@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import (
     EmptyInputError,
     FormatError,
 )
-from .textfile import read_lines
+from .textfile import read_lines, write_lines
 
 
 @dataclass(frozen=True)
@@ -158,13 +159,11 @@ def save_vectors(table: VectorTable, path) -> None:
                               "whitespace", path=path)
     nonzero = table.matrix != 0
     sparse = np.count_nonzero(nonzero, axis=1) * 2 < table.dimension
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(table)} {table.dimension}\n")
-        for word, row, row_nonzero, few in zip(table.words, table.matrix,
-                                               nonzero, sparse):
-            cells = (_sparse_cells(row, row_nonzero) if few
-                     else map(repr, row.tolist()))
-            fh.write(word + " " + " ".join(cells) + "\n")
+    rows = (word + " " + " ".join(_sparse_cells(row, row_nonzero) if few
+                                  else map(repr, row.tolist()))
+            for word, row, row_nonzero, few in zip(table.words, table.matrix,
+                                                   nonzero, sparse))
+    write_lines(path, chain([f"{len(table)} {table.dimension}"], rows))
 
 
 def _sparse_cells(row: np.ndarray, nonzero: np.ndarray) -> list[str]:
@@ -246,17 +245,14 @@ def vocabulary_coverage(tables, eval_sets) -> CoverageReport:
 def write_coverage(report: CoverageReport, eval_set, path,
                    header_lines=()) -> None:
     """TSV dump: pair_index, word1, word2, status, missing_in."""
-    pos_of = {idx: pos for pos, idx in enumerate(eval_set.pairs.source_ids)}
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("pair_index\tword1\tword2\tstatus\tmissing_in\n")
-        for idx in sorted(pos_of):
-            w1, w2 = eval_set.pairs.pairs[pos_of[idx]]
-            if idx in report.missing_words:
-                langs = ",".join(
-                    f"{w}:{lang}" for w, lang in report.missing_words[idx]
-                )
-                fh.write(f"{idx}\t{w1}\t{w2}\texcluded\t{langs}\n")
-            else:
-                fh.write(f"{idx}\t{w1}\t{w2}\tcovered\t\n")
+    lines = ["pair_index\tword1\tword2\tstatus\tmissing_in"]
+    for idx, (w1, w2) in sorted(zip(eval_set.pairs.source_ids,
+                                    eval_set.pairs.pairs)):
+        if idx in report.missing_words:
+            langs = ",".join(
+                f"{w}:{lang}" for w, lang in report.missing_words[idx]
+            )
+            lines.append(f"{idx}\t{w1}\t{w2}\texcluded\t{langs}")
+        else:
+            lines.append(f"{idx}\t{w1}\t{w2}\tcovered\t")
+    write_lines(path, lines, header_lines)

@@ -681,6 +681,70 @@ def test_non_finite_model_score_exit_3_with_line(workspace, capsys,
     assert not out.exists()
 
 
+def _repeat_pair_index(path, line):
+    """Give physical line ``line`` the pair index of the line before it;
+    returns that index."""
+    lines = path.read_text().splitlines()
+    index = lines[line - 2].split("\t")[0]
+    lines[line - 1] = "\t".join([index, *lines[line - 1].split("\t")[1:]])
+    path.write_text("\n".join(lines) + "\n")
+    return index
+
+
+@pytest.mark.parametrize("command, name", [
+    ("score", "evalset.tsv"), ("build-bow", "evalset.tsv"),
+    ("eval", "evalset.tsv"), ("agree-within", "evalset.tsv"),
+    ("qc", "evalset.tsv"), ("combine-li", "s1.tsv"),
+    ("quintiles-model-human", "s1.tsv")])
+def test_repeated_pair_index_exit_3_with_line(workspace, capsys, command,
+                                              name):
+    _add_score_files(workspace)
+    if command == "build-bow":
+        argv = ["build-bow", "--corpus", str(workspace / "corpus.txt"),
+                "--targets", str(workspace / "evalset.tsv")]
+    else:
+        argv, _ = _fuzz_cases(workspace)[command]
+    # line 3 holds the second pair of the evaluation set, and the first
+    # of a score file, which starts with its manifest
+    path = workspace / name
+    index = _repeat_pair_index(path, 4)
+    out = workspace / "out.tsv"
+    assert main([*argv, "--out", str(out)]) == 3
+    assert (f"repeated pair index {index}, first on line 3 [{path}:4]"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", ["10.5", "-0.5", "1e3"])
+@pytest.mark.parametrize("command", ["qc", "agree", "eval"])
+def test_judgment_outside_0_10_exit_3_with_line(workspace, capsys, command,
+                                                cell):
+    ev = workspace / "evalset.tsv"
+    _replace_last_cell(ev, 3, cell)
+    out = workspace / "out.tsv"
+    argv = {
+        "qc": ["qc", "--scores", str(ev)],
+        "agree": ["agree", "--mode", "within", "--evalset", f"en={ev}"],
+        "eval": ["eval", "--vectors", str(workspace / "vectors.txt"),
+                 "--evalset", str(ev)],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert f"score outside [0, 10] [{ev}:3]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lexicon_row_with_an_empty_cell_exit_3_with_line(workspace, capsys):
+    lex = workspace / "lexicon.tsv"
+    lines = lex.read_text().splitlines()
+    lines[4] = lines[4].split("\t")[0] + "\t"
+    lex.write_text("\n".join(lines) + "\n")
+    out = workspace / "out.txt"
+    argv, _ = _fuzz_cases(workspace)["combine-cca"]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert f"empty cell [{lex}:5]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _report_cases(ws):
     """Per command that writes a report: its argv, which writes the report
     to report.tsv, and the inputs that the report's manifest must name."""

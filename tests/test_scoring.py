@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from vsmeval.errors import ArgumentError, WordLookupError
+from vsmeval.errors import ArgumentError, FormatError, WordLookupError
 from vsmeval.scoring import (
     ScoreVector,
     WordPairList,
@@ -170,3 +170,15 @@ def test_score_tsv_roundtrip(tmp_path):
     again = read_scores(path)
     assert again.scores == scores.scores
     assert again.skipped == scores.skipped
+
+
+@pytest.mark.parametrize("second", ["1\tcat\tdog\t0.7",
+                                    "#OOV\t1\tcat\tdog\tdog"])
+def test_read_scores_refuses_a_repeated_pair_index(tmp_path, second):
+    path = tmp_path / "scores.tsv"
+    path.write_text("pair_index\tword1\tword2\tscore\n1\tcat\tdog\t0.5\n"
+                    f"{second}\n")
+    with pytest.raises(FormatError) as info:
+        read_scores(path)
+    assert str(info.value) == \
+        f"repeated pair index 1, first on line 2 [{path}:3]"

@@ -1,14 +1,18 @@
+import ast
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import vsmeval
 from vsmeval.agreement import load_evaluation_set
 from vsmeval.combine import load_cca_model, load_lexicon
 from vsmeval.corpus import read_corpus, read_wordlist
 from vsmeval.errors import FormatError, VsmevalError
 from vsmeval.scoring import read_pair_list, read_scores
-from vsmeval.textfile import read_lines, read_text
+from vsmeval.textfile import read_lines, read_text, write_lines
 from vsmeval.vectors import load_vectors
 
 from conftest import damaged
@@ -97,3 +101,41 @@ def test_readers_return_or_raise_toolkit_errors(tmp_path, name):
                 pass
 
     check()
+
+
+_LINE = st.text(st.characters(codec="utf-8", exclude_characters="\n\r"))
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(comments=st.lists(_LINE, max_size=4), lines=st.lists(_LINE))
+def test_write_lines_reads_back_comments_then_non_blank_lines(
+        tmp_path, comments, lines):
+    path = tmp_path / "out.txt"
+    write_lines(path, iter(lines), comments)
+    written = [f"# {c}" for c in comments] + lines
+    assert path.read_bytes() == "".join(
+        line + "\n" for line in written).encode("utf-8")
+    assert list(read_lines(path)) == [
+        (n, line) for n, line in enumerate(written, start=1) if line.strip()]
+
+
+def _opens_for_writing(path):
+    """Line numbers of the ``open(...)`` calls in ``path`` whose mode is
+    not a constant that only reads."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "open"):
+            continue
+        modes = node.args[1:2] + [k.value for k in node.keywords
+                                  if k.arg == "mode"]
+        if any(not isinstance(m, ast.Constant) or set(m.value) & set("wax+")
+               for m in modes):
+            yield node.lineno
+
+
+def test_only_textfile_opens_a_file_for_writing():
+    package = Path(vsmeval.__file__).parent
+    writers = {p.name: lines for p in sorted(package.glob("*.py"))
+               if (lines := list(_opens_for_writing(p)))}
+    assert list(writers) == ["textfile.py"], writers
