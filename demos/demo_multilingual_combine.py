@@ -72,7 +72,7 @@ model = fit_cca_tables(t_en, t_de, lexicon)
 print(f"\nCCA: {model.n_components} components, leading correlations "
       + ", ".join(f"{c:.3f}" for c in model.correlations[:4]))
 
-combined, aliases = project_concat(t_en, t_de, lexicon, model)
-s_cca = score_pairs(combined, pairs, aliases=aliases)
+combined = project_concat(t_en, t_de, lexicon, model)
+s_cca = score_pairs(combined, pairs)
 rho_cca = spearman([s_cca.scores[i] for i in idx], reference)
 print(f"concatenated projection: rho {rho_cca:.3f}")

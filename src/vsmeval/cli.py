@@ -258,13 +258,15 @@ def cmd_combine(args) -> int:
         raise ArgumentError("cca needs two --vectors (LANG=PATH) and "
                             "--lexicon")
     (path1, path2), (t1, t2) = _load_tagged(args.vectors, load_vectors)
+    if t1.language == t2.language:
+        raise ArgumentError(
+            f"language {t1.language!r} names more than one vector table")
     lexicon = load_lexicon(args.lexicon)
     model = fit_cca_tables(
         t1, t2, lexicon, eps=args.eps, components=args.components,
         max_dim=args.max_dim,
     )
-    combined, aliases = project_concat(t1, t2, lexicon, model,
-                                       side=args.side)
+    combined = project_concat(t1, t2, lexicon, model, side=args.side)
     save_vectors(combined, args.out)
     if args.model_out:
         save_cca_model(model, args.model_out)

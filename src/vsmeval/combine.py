@@ -5,7 +5,7 @@ monolingual 80%-resample baseline used to control for smoothing effects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
@@ -58,7 +58,6 @@ class CcaModel:
     projection_2: np.ndarray  # d2 x m
     correlations: np.ndarray  # m values in [0, 1], non-increasing
     regularization: float
-    normalize_rows: bool = True  # unit-normalise table rows before projecting
 
     @property
     def n_components(self) -> int:
@@ -153,12 +152,11 @@ def aligned_matrices(
     t1: VectorTable,
     t2: VectorTable,
     lexicon: TranslationLexicon,
-    normalize: bool = True,
     max_dim: int | None = None,
 ):
-    """Stack lexicon-aligned vectors into two matrices, optionally
-    unit-normalizing rows and capping dimensionality with a variance-
-    preserving projection (for wide PPMI inputs).
+    """Stack lexicon-aligned vectors into two matrices of unit-normalised
+    rows, optionally capping dimensionality with a variance-preserving
+    projection (for wide PPMI inputs).
 
     Returns (X, Y, pca_1, pca_2) where the pca entries are either None or
     the (mean, components) used to reduce each side; the caller folds
@@ -166,32 +164,35 @@ def aligned_matrices(
     """
     if max_dim is not None and max_dim < 1:
         raise ArgumentError(f"max_dim must be >= 1, got {max_dim}")
-    w1 = lexicon.column(t1.language)
-    w2 = lexicon.column(t2.language)
-    X = _gather(t1, w1)
-    Y = _gather(t2, w2)
-    if normalize:
-        X = _unit_rows(X)
-        Y = _unit_rows(Y)
-    pca = [None, None]
-    if max_dim is not None:
-        out = []
-        for side, M in enumerate((X, Y)):
-            if M.shape[1] > max_dim:
-                mean = M.mean(axis=0)
-                _, _, vt = scipy.linalg.svd(M - mean, full_matrices=False)
-                comps = vt[:max_dim].T
-                pca[side] = (mean, comps)
-                out.append((M - mean) @ comps)
-            else:
-                out.append(M)
-        X, Y = out
-    return X, Y, pca[0], pca[1]
+    w1, w2 = lexicon.column(t1.language), lexicon.column(t2.language)
+    X, pca_1 = _reduce(_unit_rows(_gather(t1, w1)), max_dim)
+    Y, pca_2 = _reduce(_unit_rows(_gather(t2, w2)), max_dim)
+    return X, Y, pca_1, pca_2
 
 
 def _unit_rows(M: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(M, axis=1, keepdims=True)
     return M / np.where(norms == 0, 1.0, norms)
+
+
+def _reduce(M: np.ndarray, max_dim: int | None):
+    """M projected onto its leading ``max_dim`` principal axes, with the
+    (mean, components) used; M and None when it is no wider."""
+    if max_dim is None or M.shape[1] <= max_dim:
+        return M, None
+    mean = M.mean(axis=0)
+    _, _, vt = scipy.linalg.svd(M - mean, full_matrices=False)
+    comps = vt[:max_dim].T
+    return (M - mean) @ comps, (mean, comps)
+
+
+def _fold(pca, mean: np.ndarray, projection: np.ndarray):
+    """A side's CCA mean and projection over the dimensions its rows had
+    before ``_reduce`` gave ``pca``."""
+    if pca is None:
+        return mean, projection
+    pca_mean, comps = pca
+    return pca_mean + comps @ mean, comps @ projection
 
 
 def fit_cca_tables(
@@ -200,26 +201,19 @@ def fit_cca_tables(
     lexicon: TranslationLexicon,
     eps: float = 1e-8,
     components: int | None = None,
-    normalize: bool = True,
     max_dim: int | None = None,
 ) -> CcaModel:
     """fit_cca over lexicon-aligned table rows, with any dimensionality
     cap folded back into the stored projection matrices so projection of
     raw vectors remains a single centering + matrix product."""
-    X, Y, pca1, pca2 = aligned_matrices(
-        t1, t2, lexicon, normalize=normalize, max_dim=max_dim
-    )
+    X, Y, pca_1, pca_2 = aligned_matrices(t1, t2, lexicon, max_dim=max_dim)
     model = fit_cca(X, Y, eps=eps, components=components,
                     languages=(t1.language, t2.language))
-    if pca1 is not None:
-        mean, comps = pca1
-        model.mean_1 = mean + comps @ model.mean_1
-        model.projection_1 = comps @ model.projection_1
-    if pca2 is not None:
-        mean, comps = pca2
-        model.mean_2 = mean + comps @ model.mean_2
-        model.projection_2 = comps @ model.projection_2
-    return replace(model, normalize_rows=normalize)
+    model.mean_1, model.projection_1 = _fold(pca_1, model.mean_1,
+                                             model.projection_1)
+    model.mean_2, model.projection_2 = _fold(pca_2, model.mean_2,
+                                             model.projection_2)
+    return model
 
 
 def project_concat(
@@ -228,35 +222,30 @@ def project_concat(
     lexicon: TranslationLexicon,
     model: CcaModel,
     side: str | None = None,
-) -> tuple[VectorTable, dict[str, str]]:
+) -> VectorTable:
     """Multilingual vectors: per lexicon row, center and project each
-    language's vector and concatenate the halves (dimension 2m).
+    language's unit-normalised vector and concatenate the halves
+    (dimension 2m). With ``side`` set to "l1" or "l2" only that
+    projection is used (dimension m).
 
-    The result is keyed by the first language's word; the returned alias
-    map sends the second language's surface form to that key. With
-    ``side`` set to "l1" or "l2" only that projection is used (dimension
-    m).
+    The result is keyed by the first language's word. A word in several
+    rows keeps the position of its first row and the vector of its last.
     """
     if side not in (None, "l1", "l2"):
         raise ArgumentError(f"side must be None, 'l1' or 'l2', got {side!r}")
-    X, Y, _, _ = aligned_matrices(t1, t2, lexicon,
-                                  normalize=model.normalize_rows)
-    w1 = lexicon.column(t1.language)
-    w2 = lexicon.column(t2.language)
-    vectors: dict[str, np.ndarray] = {}
-    aliases: dict[str, str] = {}
-    for a, b, x, y in zip(w1, w2, X, Y):
+    X, Y, _, _ = aligned_matrices(t1, t2, lexicon)
+    halves = []
+    if side != "l2":
+        halves.append((X, model.mean_1, model.projection_1))
+    if side != "l1":
+        halves.append((Y, model.mean_2, model.projection_2))
+    last_row = {w: i for i, w in enumerate(lexicon.column(t1.language))}
+    matrix = np.empty((len(last_row), model.n_components * len(halves)))
+    for out, i in zip(matrix, last_row.values()):
         # one row at a time: a matrix product changes the last bits
-        halves = []
-        if side != "l2":
-            halves.append((x - model.mean_1) @ model.projection_1)
-        if side != "l1":
-            halves.append((y - model.mean_2) @ model.projection_2)
-        vectors[a] = np.concatenate(halves)
-        if b != a:
-            aliases[b] = a
-    dimension = model.n_components * (1 if side else 2)
-    return VectorTable.from_dict(t1.language, vectors, dimension), aliases
+        out[:] = np.concatenate([(M[i] - mean) @ projection
+                                 for M, mean, projection in halves])
+    return VectorTable(t1.language, tuple(last_row), matrix)
 
 
 @dataclass
@@ -315,9 +304,8 @@ def monolingual_baseline(
                     rows=tuple((w, w) for w in words),
                 )
                 model = fit_cca_tables(m1, m2, lexicon, eps=1e-8)
-                table, aliases = project_concat(m1, m2, lexicon, model)
-                combined = score_pairs(table, pairs, oov_policy="skip",
-                                       aliases=aliases)
+                table = project_concat(m1, m2, lexicon, model)
+                combined = score_pairs(table, pairs, oov_policy="skip")
             combined, covered_human = align_scores(combined, human)
             if len(combined.scores) < 2:
                 raise DegenerateError("coverage collapse")
@@ -333,13 +321,17 @@ def monolingual_baseline(
 
 
 def save_cca_model(model: CcaModel, path) -> None:
-    """Text dump: header ``l1 l2 d1 d2 m eps normalize_rows(1/0)`` then
-    means, correlations and the two projection matrices row by row."""
+    """Text dump: header ``l1 l2 d1 d2 m eps 1`` (the 1: rows are
+    unit-normalised before projecting) then means, correlations and the
+    two projection matrices row by row."""
+    for language in model.languages:
+        if language.split() != [language]:
+            raise FormatError(f"language code {language!r} is empty or "
+                              "contains whitespace", path=path)
     d1 = model.projection_1.shape[0]
     d2 = model.projection_2.shape[0]
     header = (f"{model.languages[0]} {model.languages[1]} "
-              f"{d1} {d2} {model.n_components} {model.regularization!r} "
-              f"{int(model.normalize_rows)}")
+              f"{d1} {d2} {model.n_components} {model.regularization!r} 1")
     vectors = chain((model.mean_1, model.mean_2, model.correlations),
                     model.projection_1, model.projection_2)
     rows = (" ".join(repr(float(v)) for v in vec) for vec in vectors)
@@ -347,11 +339,11 @@ def save_cca_model(model: CcaModel, path) -> None:
 
 
 def load_cca_model(path) -> CcaModel:
-    """Inverse of save_cca_model; a 6-field header means normalize_rows."""
+    """Inverse of save_cca_model; the header may omit its last field."""
     lines = read_lines(path)
     lineno, first = next(lines, (1, ""))
     header = first.split()
-    if len(header) not in (6, 7) or header[6:] not in ([], ["0"], ["1"]):
+    if len(header) not in (6, 7) or header[6:] not in ([], ["1"]):
         raise FormatError("bad CCA model header", path=path, line=lineno)
     try:
         d1, d2, m = int(header[2]), int(header[3]), int(header[4])
@@ -387,7 +379,6 @@ def load_cca_model(path) -> CcaModel:
         projection_1=np.stack(rows[3:3 + d1]),
         projection_2=np.stack(rows[3 + d1:]),
         regularization=eps,
-        normalize_rows=header[6:] != ["0"],
     )
 
 
@@ -395,9 +386,12 @@ def load_lexicon(path) -> TranslationLexicon:
     """TSV with a header row of language codes and one aligned tuple per
     line."""
     lines = read_rows(path)
-    _, languages = next(lines, (None, None))
+    lineno, languages = next(lines, (None, None))
     if languages is None:
         raise FormatError("empty lexicon", path=path)
+    if len(set(languages)) < len(languages):
+        raise FormatError("a language heads more than one column",
+                          path=path, line=lineno)
     rows = []
     for lineno, row in lines:
         if len(row) != len(languages):
@@ -410,6 +404,8 @@ def load_lexicon(path) -> TranslationLexicon:
 
 
 def save_lexicon(lexicon: TranslationLexicon, path) -> None:
+    if len(set(lexicon.languages)) < len(lexicon.languages):
+        raise FormatError("a language heads more than one column", path=path)
     for row in (lexicon.languages, *lexicon.rows):
         check_cells(row, path)
         if not "".join(row).strip() or row[0].startswith("#"):

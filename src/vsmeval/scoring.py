@@ -73,13 +73,11 @@ def score_pairs(
     table: VectorTable,
     pairs: WordPairList,
     oov_policy: str = "skip",
-    aliases: dict[str, str] | None = None,
 ) -> ScoreVector:
     """One cosine score per covered pair.
 
     With ``oov_policy="skip"`` out-of-vocabulary pairs are omitted and
-    recorded; with ``"error"`` the first miss aborts. ``aliases`` maps
-    alternate surface forms onto table keys (used by combined tables).
+    recorded; with ``"error"`` the first miss aborts.
     """
     if oov_policy not in ("skip", "error"):
         raise ArgumentError(f"unknown oov_policy {oov_policy!r}")
@@ -90,9 +88,8 @@ def score_pairs(
         missing = []
         vecs = []
         for w in (w1, w2):
-            key = w if w in table else (aliases or {}).get(w, w)
-            if key in table:
-                vecs.append(table[key])
+            if w in table:
+                vecs.append(table[w])
             else:
                 missing.append(w)
         if missing:

@@ -525,6 +525,27 @@ def test_lexicon_without_a_vectors_language_exit_3(workspace, capsys):
     assert "'fr'" in err and "en, de" in err
 
 
+def test_combine_cca_refuses_two_tables_of_one_language(workspace, capsys):
+    argv = _cca_argv(workspace)
+    argv[5] = f"en={workspace / 'vectors_de.txt'}"
+    assert main(argv) == 2
+    assert ("language 'en' names more than one vector table"
+            in capsys.readouterr().err)
+    assert not (workspace / "c.txt").exists()
+
+
+def test_lexicon_naming_a_language_twice_exit_3(workspace, capsys):
+    lex = workspace / "lexicon.tsv"
+    lines = lex.read_text().splitlines()
+    lex.write_text("\n".join(f"{line}\t{line.split()[0]}"
+                             for line in lines) + "\n")
+    assert lines[0] == "en\tde"
+    assert main(_cca_argv(workspace)) == 3
+    assert f"a language heads more than one column [{lex}:1]" in \
+        capsys.readouterr().err
+    assert not (workspace / "c.txt").exists()
+
+
 @pytest.mark.parametrize("command", ["score", "build-bow"])
 @pytest.mark.parametrize("bad_line", [1, 3])
 def test_undecodable_pair_file_exit_3_with_line(workspace, capsys, command,

@@ -156,16 +156,31 @@ class TestProjectConcat:
     def test_output_dimension_and_rows(self, rng):
         t1, t2, lexicon = _aligned_tables(rng)
         model = fit_cca_tables(t1, t2, lexicon, components=3)
-        table, aliases = project_concat(t1, t2, lexicon, model)
+        table = project_concat(t1, t2, lexicon, model)
         assert table.dimension == 6
         assert len(table) == len(lexicon.rows)
-        assert set(aliases) == set(lexicon.column("de"))
 
     def test_side_variant_dimension(self, rng):
         t1, t2, lexicon = _aligned_tables(rng)
         model = fit_cca_tables(t1, t2, lexicon, components=3)
-        table, _ = project_concat(t1, t2, lexicon, model, side="l1")
+        table = project_concat(t1, t2, lexicon, model, side="l1")
         assert table.dimension == 3
+
+    @pytest.mark.parametrize("side", [None, "l1", "l2"])
+    def test_rows_match_the_per_row_formula(self, rng, side):
+        t1, t2, lexicon = _aligned_tables(rng, d1=6, d2=5)
+        model = fit_cca_tables(t1, t2, lexicon, components=3)
+        table = project_concat(t1, t2, lexicon, model, side=side)
+        halves = []
+        for t, mean, projection, half in (
+                (t1, model.mean_1, model.projection_1, "l1"),
+                (t2, model.mean_2, model.projection_2, "l2")):
+            if side in (None, half):
+                M = t.rows(lexicon.column(t.language))
+                unit = M / np.linalg.norm(M, axis=1, keepdims=True)
+                halves.append([(u - mean) @ projection for u in unit])
+        assert table.words == lexicon.column("en")
+        assert np.array_equal(table.matrix, np.hstack(halves))
 
     def test_identical_tables_preserve_scores(self, rng):
         words = [f"w{i}" for i in range(15)]
@@ -177,7 +192,7 @@ class TestProjectConcat:
         lexicon = TranslationLexicon(("en", "de"),
                                      tuple((w, w) for w in words))
         model = fit_cca_tables(t1, t2, lexicon, eps=1e-12)
-        combined, _ = project_concat(t1, t2, lexicon, model)
+        combined = project_concat(t1, t2, lexicon, model)
         m = model.n_components
         vectors = combined.rows(words)
         assert np.allclose(vectors[:, :m], vectors[:, m:], rtol=0, atol=1e-9)
@@ -207,18 +222,17 @@ class TestProjectConcat:
         repeated = TranslationLexicon(
             ("en", "de"), lexicon.rows[:3] + last_row.rows
         )
-        table, aliases = project_concat(t1, t2, repeated, model)
-        last, _ = project_concat(t1, t2, last_row, model)
+        table = project_concat(t1, t2, repeated, model)
+        last = project_concat(t1, t2, last_row, model)
         assert table.words == ("en0", "en1", "en2")
         assert np.array_equal(table["en0"], last["en0"])
-        assert aliases["de0"] == aliases["de5"] == "en0"
 
     def test_max_dim_cap_folds_into_projections(self, rng):
         t1, t2, lexicon = _aligned_tables(rng, n_words=30, d1=12, d2=10)
         model = fit_cca_tables(t1, t2, lexicon, max_dim=5)
         assert model.projection_1.shape[0] == 12
         assert model.projection_2.shape[0] == 10
-        table, _ = project_concat(t1, t2, lexicon, model)
+        table = project_concat(t1, t2, lexicon, model)
         assert table.dimension == 2 * model.n_components
 
 
@@ -235,25 +249,37 @@ class TestCcaModelIO:
         assert np.array_equal(again.correlations, model.correlations)
         assert again.regularization == model.regularization
 
-    def test_unnormalized_model_projects_identically(self, tmp_path, rng):
-        t1, t2, lexicon = _aligned_tables(rng)
-        model = fit_cca_tables(t1, t2, lexicon, normalize=False)
-        path = tmp_path / "model.txt"
-        save_cca_model(model, path)
-        again = load_cca_model(path)
-        assert again.normalize_rows is False
-        before, _ = project_concat(t1, t2, lexicon, model)
-        after, _ = project_concat(t1, t2, lexicon, again)
-        assert np.array_equal(after.matrix, before.matrix)
-
-    def test_six_field_header_normalizes_rows(self, tmp_path, rng):
+    def test_seventh_header_field_0_rejected(self, tmp_path, rng):
         t1, t2, lexicon = _aligned_tables(rng)
         path = tmp_path / "model.txt"
-        save_cca_model(fit_cca_tables(t1, t2, lexicon, normalize=False),
-                       path)
+        save_cca_model(fit_cca_tables(t1, t2, lexicon), path)
         header, rest = path.read_text().split("\n", 1)
-        path.write_text(header.rsplit(" ", 1)[0] + "\n" + rest)
-        assert load_cca_model(path).normalize_rows is True
+        assert header.endswith(" 1")
+        path.write_text(header[:-1] + "0\n" + rest)
+        with pytest.raises(FormatError, match=r"bad CCA model header.*:1\]"):
+            load_cca_model(path)
+
+    def test_six_field_header_projects_identically(self, tmp_path, rng):
+        t1, t2, lexicon = _aligned_tables(rng)
+        seven, six = tmp_path / "seven.txt", tmp_path / "six.txt"
+        save_cca_model(fit_cca_tables(t1, t2, lexicon), seven)
+        header, rest = seven.read_text().split("\n", 1)
+        six.write_text(header.rsplit(" ", 1)[0] + "\n" + rest)
+        before = project_concat(t1, t2, lexicon, load_cca_model(seven))
+        after = project_concat(t1, t2, lexicon, load_cca_model(six))
+        assert before.words == after.words
+        assert after.matrix.tobytes() == before.matrix.tobytes()
+
+    @pytest.mark.parametrize("languages", [("e n", "de"), ("", "de"),
+                                           ("en", "d\te"), ("en", "")])
+    def test_language_code_with_whitespace_rejected(self, tmp_path, rng,
+                                                    languages):
+        model = fit_cca(rng.normal(size=(20, 3)), rng.normal(size=(20, 3)),
+                        languages=languages)
+        path = tmp_path / "model.txt"
+        with pytest.raises(FormatError, match="language code"):
+            save_cca_model(model, path)
+        assert not path.exists()
 
     def test_ragged_row_rejected(self, tmp_path, rng):
         model = fit_cca(rng.normal(size=(20, 3)), rng.normal(size=(20, 3)))
@@ -282,6 +308,7 @@ class TestLexiconIO:
         HealthCheck.function_scoped_fixture])
     @given(lexicon=_lexicons())
     @example(lexicon=TranslationLexicon(("en", "de"), (("#tag", "#etikett"),)))
+    @example(lexicon=TranslationLexicon(("en", "de", "en"), ()))
     def test_roundtrip_property(self, tmp_path, lexicon):
         path = tmp_path / "lex.tsv"
         path.unlink(missing_ok=True)
@@ -290,7 +317,8 @@ class TestLexiconIO:
                      for c in "\t\n\r")
         skipped = any(not "".join(row).strip() or row[0].startswith("#")
                       for row in lines)
-        if broken or skipped:
+        repeated = len(set(lexicon.languages)) < len(lexicon.languages)
+        if broken or skipped or repeated:
             with pytest.raises(FormatError):
                 save_lexicon(lexicon, path)
             assert not path.exists()
