@@ -7,11 +7,20 @@ and the ``rows`` gather. PPMI, file IO and CCA all pass such matrices whole.
 The canonical on-disk representation is the word2vec text format: a
 header line ``<vocab_size> <dimension>`` followed by one ``word v1 ... vd``
 line per word, each float in its shortest round-tripping ``repr``.
+``load_vectors`` reads a file in the spelling ``save_vectors`` writes
+(``\\n`` line ends, single spaces, printable ASCII cells, a UTF-8 word of
+any script) in one pass over its bytes, straight into the matrix; in a
+mostly zero line only the cells other than ``0.0`` and ``-0.0`` are
+parsed. Every other valid spelling (tabs, ``\\r\\n``, blank lines, a
+repeated word) still loads, to the same table, through the line loop,
+which is also the one source of every refusal and warning.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
+from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import chain
 from types import MappingProxyType
@@ -24,7 +33,7 @@ from .errors import (
     EmptyInputError,
     FormatError,
 )
-from .textfile import read_lines, write_lines
+from .textfile import read_byte_lines, read_lines, write_lines
 
 
 @dataclass(frozen=True)
@@ -97,8 +106,20 @@ class CoverageReport:
 def load_vectors(path, language: str = "und") -> VectorTable:
     """Parse a word2vec text file; the header must match the body exactly.
 
-    Duplicate words keep the last occurrence, with a warning.
+    Duplicate words keep the last occurrence, with a warning. A file
+    spelled as ``save_vectors`` writes it is read in one pass over its
+    bytes; any other file is read again by the line loop, to the same
+    table or the same refusal.
     """
+    scanned = _scan_canonical(path)
+    if scanned is None:
+        return _load_lines(path, language)
+    return VectorTable(language, *scanned)
+
+
+def _load_lines(path, language: str) -> VectorTable:
+    """The line loop: reads any spelling of the format, and is the one
+    place that refuses a malformed file or warns of a duplicate word."""
     vectors: dict[str, np.ndarray] = {}
     lines = read_lines(path)
     lineno, header = next(lines, (1, ""))
@@ -121,7 +142,7 @@ def load_vectors(path, language: str = "und") -> VectorTable:
             )
         word = fields[0]
         try:
-            vec = _parse_cells(fields[1:], dimension)
+            vec = np.fromiter(map(float, fields[1:]), float, count=dimension)
         except ValueError:
             raise FormatError("unparseable float", path=path, line=lineno)
         if not np.all(np.isfinite(vec)):
@@ -146,6 +167,105 @@ def load_vectors(path, language: str = "und") -> VectorTable:
             path=path,
         )
     return VectorTable.from_dict(language, vectors, dimension)
+
+
+_HEADER = re.compile(rb"([1-9][0-9]*) ([1-9][0-9]*)\n")
+_PRINTABLE = bytes(range(0x20, 0x7F))  # printable ASCII, space included
+_SPACE, _MINUS, _ZERO, _POINT = b" -0."  # as byte values
+
+
+def _scan_canonical(path):
+    """``(words, matrix)`` of a file spelled exactly as ``save_vectors``
+    writes it, or None for any other file.
+
+    That spelling is: every line ends in ``\\n``; a header of two positive
+    integers; then the declared number of lines, each a UTF-8 word that
+    ``str.split`` leaves whole and not seen before, followed by exactly
+    ``dimension`` cells of printable ASCII, each after a single space,
+    all finite. On such bytes ``float`` parses a cell as the line loop's
+    ``float`` parses its text.
+    """
+    with closing(read_byte_lines(path)) as lines:
+        match = _HEADER.fullmatch(next(lines, b""))
+        if match is None:
+            return None
+        vocab_size, dimension = int(match[1]), int(match[2])
+        matrix = np.zeros((vocab_size, dimension))
+        words: dict[str, None] = {}
+        for row, line in zip(matrix, lines):
+            cut = line.find(b" ")
+            try:
+                word = line[:cut].decode("utf-8")
+            except UnicodeDecodeError:
+                return None
+            cells = line[cut + 1:-1]
+            if (cut < 1 or not line.endswith(b"\n")
+                    or word.split() != [word]
+                    or cells.translate(None, _PRINTABLE)
+                    or not _parse_row(cells, row)):
+                return None
+            words[word] = None
+        # a repeated word leaves fewer words than rows
+        if len(words) != vocab_size or next(lines, None) is not None:
+            return None
+    if not np.isfinite(matrix).all():
+        return None
+    return tuple(words), matrix
+
+
+def _parse_row(cells: bytes, row: np.ndarray) -> bool:
+    """Fill ``row`` from a line's cells, single-space separated printable
+    ASCII; False unless they are ``len(row)`` floats.
+
+    When most cells are exactly ``0.0`` or ``-0.0``, one numpy pass over
+    the bytes finds them and only the other cells go through ``float``;
+    any other line is split with ``bytes.split``."""
+    dimension = len(row)
+    try:
+        if _mostly_zero(cells, dimension):
+            text = np.frombuffer(cells, np.uint8)
+            spaces = np.flatnonzero(text == _SPACE)
+            if len(spaces) != dimension - 1:
+                return False
+            starts = np.concatenate(([0], spaces + 1))
+            stops = np.append(spaces, len(cells))
+            lengths = stops - starts
+            short = np.flatnonzero((lengths == 3) | (lengths == 4))
+            end, first = stops[short], text[starts[short]]
+            signed = first == _MINUS
+            is_zero = ((text[end - 3] == _ZERO) & (text[end - 2] == _POINT)
+                       & (text[end - 1] == _ZERO)
+                       & ((lengths[short] == 3) | signed))
+            zero = short[is_zero]
+            if len(zero) * 2 > dimension:
+                keep = np.ones(dimension, bool)
+                keep[zero] = False
+                # the bytes of each kept cell and the space after it
+                kept = text[np.repeat(keep, lengths + 1)[:-1]]
+                values = kept.tobytes().split()
+                if len(values) != dimension - len(zero):
+                    return False
+                row[keep] = list(map(float, values))
+                row[short[is_zero & signed]] = -0.0
+                return True
+        values = cells.split(b" ")
+        if len(values) != dimension:
+            return False
+        row[:] = list(map(float, values))
+    except ValueError:
+        return False
+    return True
+
+
+def _mostly_zero(cells: bytes, dimension: int) -> bool:
+    """Whether more than half of the cells may be ``0.0`` or ``-0.0``: a
+    cheap test, never False when they are. Such a cell and its space take
+    at most 5 bytes and any other cell that ``repr`` writes at most 25, so
+    the line is shorter than 15 bytes a cell. Every such cell but the
+    last is followed by ``"0.0 "``, as are ``10.0`` and ``20.0``, which
+    the exact pass tells apart."""
+    return (len(cells) < 15 * dimension
+            and (cells.count(b"0.0 ") + 1) * 2 > dimension)
 
 
 def save_vectors(table: VectorTable, path) -> None:
@@ -176,19 +296,6 @@ def _sparse_cells(row: np.ndarray, nonzero: np.ndarray) -> list[str]:
     for j, value in zip(where.tolist(), row[where].tolist()):
         cells[j] = repr(value)
     return cells
-
-
-def _parse_cells(cells: list[str], dimension: int) -> np.ndarray:
-    """The floats of one vector line, each parsed by ``float`` as numpy
-    would. When most cells are ``0.0`` only the others are parsed, into a
-    zero vector."""
-    if cells.count("0.0") * 2 <= dimension:
-        return np.fromiter(map(float, cells), float, count=dimension)
-    text = np.array(cells, dtype=object)
-    where = np.flatnonzero(text != "0.0")
-    vec = np.zeros(dimension)
-    vec[where] = list(map(float, text[where].tolist()))
-    return vec
 
 
 def vocabulary_coverage(tables, eval_sets) -> CoverageReport:

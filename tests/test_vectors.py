@@ -1,5 +1,7 @@
 import os
+import re
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 from vsmeval.errors import AlignmentError, EmptyInputError, FormatError
 from vsmeval.vectors import (
     VectorTable,
+    _load_lines,
+    _scan_canonical,
     load_vectors,
     save_vectors,
     vocabulary_coverage,
@@ -183,6 +187,143 @@ def test_zero_heavy_file_roundtrip_property(case, bad, position):
                      f"bad {' '.join(cells)}\n")
         with pytest.raises(FormatError, match=f"{path}:3]"):
             load_vectors(path)
+
+
+def _nth(pattern, repl):
+    """An edit that replaces the ``at``-th match of ``pattern`` (counted
+    round) by ``repl``, a template or a function of the match."""
+    def edit(text, at):
+        found = list(re.finditer(pattern, text))
+        if not found:
+            return text
+        m = found[at % len(found)]
+        new = m.expand(repl) if isinstance(repl, str) else repl(m)
+        return text[:m.start()] + new + text[m.end():]
+    return edit
+
+
+def _repeat_a_word(text, at):
+    """Append a copy of one body line and declare one more word."""
+    header, _, body = text.partition("\n")
+    count, _, dimension = header.partition(" ")
+    lines = body.split("\n")
+    if not count.isdigit() or not body:
+        return text
+    return f"{int(count) + 1} {dimension}\n{body}{lines[at % len(lines)]}\n"
+
+
+_CELL = r"(?<= )[^ \n]+"
+_WORD = r"(?m)^[^ \n]+"
+# Spellings that save_vectors never writes. Under each one, load_vectors
+# must load what the line loop loads, or refuse with its text at its line.
+_EDITS = {
+    "as-saved": lambda text, at: text,
+    "tab-separator": _nth(" ", "\t"),
+    "double-space": _nth(" ", "  "),
+    "nbsp-separator": _nth(" ", "\xa0"),
+    "no-separator": _nth(" ", ""),
+    "crlf": _nth("\n", "\r\n"),
+    "cr": _nth("\n", "\r"),
+    "blank-line": _nth("\n", "\n\n"),
+    "whitespace-line": _nth("\n", "\n \t\n"),
+    "leading-space": _nth("\n", "\n "),
+    "trailing-space": _nth("\n", " \n"),
+    "joined-lines": _nth("\n", " "),
+    "no-final-break": _nth("\n\\Z", ""),
+    **{f"cell={cell!r}": _nth(_CELL, cell) for cell in
+       ["nan", "inf", "1e999", "1_0", "+1.5", "-0.0", "0.0", "00.0", "0.00",
+        "5e-324", "-2.225e-308", "x", "\u0661.5", "1.5\x1c", "", "0.0 0.0",
+        r"\g<0>\r", r"\t\g<0>"]},
+    **{f"word+{c!r}": _nth(_WORD, r"\g<0>" + c) for c in
+       ["\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\x85", "\u2028", "\xdf",
+        "\u732b"]},
+    "no-word": _nth(r"(?m)^[^ \n]+ ", ""),
+    "repeated-line": _nth(r"(?m)^.*\n", r"\g<0>\g<0>"),
+    "duplicate-word": _repeat_a_word,
+    "one-word-declared": _nth(r"\A[0-9]+", "1"),
+    "more-words-declared": _nth(r"\A[0-9]+", r"1\g<0>"),
+    "dimension-1": _nth(r"\A([0-9]+) [0-9]+", r"\1 1"),
+    "dimension-x10": _nth(r"\A([0-9]+) ([0-9]+)", r"\1 \g<2>0"),
+}
+
+
+@st.composite
+def _saved_tables(draw):
+    """A table as ``save_vectors`` takes it: rows dense or mostly zero,
+    with +-0.0, subnormals and any word ``str.split`` leaves whole."""
+    dim = draw(st.integers(1, 12))
+    words = draw(st.lists(_WORDS, min_size=1, max_size=4, unique=True))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    zero_heavy = st.one_of(st.just(0.0), st.just(0.0), st.just(-0.0),
+                           finite, st.sampled_from([5e-324, -1e-310]))
+    rows = [draw(st.lists(draw(st.sampled_from([finite, zero_heavy])),
+                          min_size=dim, max_size=dim)) for _ in words]
+    return VectorTable("en", tuple(words),
+                       np.array(rows, dtype=float).reshape(len(words), dim))
+
+
+def _outcome(load, path):
+    """Words, matrix bytes and shape and warnings, or the refusal text."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            table = load(path, "en")
+        except FormatError as exc:
+            return str(exc)
+    return (table.words, table.matrix.tobytes(), table.matrix.shape,
+            [str(w.message) for w in caught])
+
+
+@pytest.mark.parametrize("name", list(_EDITS))
+@settings(deadline=None, max_examples=15)
+@given(table=_saved_tables(), at=st.integers(0, 2**16),
+       more=st.lists(st.tuples(st.sampled_from(list(_EDITS)),
+                               st.integers(0, 2**16)), max_size=1))
+@example(table=VectorTable("en", ("a", "b"), np.array([[1.5], [2.5]])),
+         at=0, more=[("no-word", 1)])
+def test_one_pass_reader_equals_the_line_loop_property(name, table, at, more):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "v.txt")
+        save_vectors(table, path)
+        assert _scan_canonical(path) is not None
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        for edit, position in [(name, at)] + more:
+            text = _EDITS[edit](text, position)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert _outcome(load_vectors, path) == _outcome(_load_lines, path)
+
+
+def test_non_ascii_words_take_the_one_pass_reader(tmp_path):
+    words = ("кошка", "Käse", "猫", "cat")
+    matrix = np.array([[0.5, -1.25, 3.0, 0.0], [0.0, 0.0, 0.0, 2.5],
+                       [-0.0, 0.0, 0.0, 0.0], [1e-310, 7.0, -8.5, 1.0]])
+    path = tmp_path / "v.txt"
+    save_vectors(VectorTable("en", words, matrix), path)
+    scanned_words, scanned = _scan_canonical(path)
+    assert scanned_words == words
+    assert scanned.tobytes() == matrix.tobytes()
+
+
+def test_mostly_zero_load_peaks_near_its_matrix(tmp_path):
+    # a k=10000 PPMI-like table at 1% non-zero; a per-word array and dict
+    # before the final matrix peaked at about twice the matrix bytes
+    rng = np.random.default_rng(0)
+    matrix = np.zeros((300, 10_000))
+    hit = rng.random(matrix.shape) < 0.01
+    matrix[hit] = rng.exponential(2.0, size=hit.sum())
+    path = tmp_path / "v.txt"
+    save_vectors(VectorTable("en", tuple(f"w{i}" for i in range(300)),
+                             matrix), path)
+    tracemalloc.start()
+    try:
+        table = load_vectors(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.matrix.tobytes() == matrix.tobytes()
+    assert peak <= 1.5 * matrix.nbytes
 
 
 def test_save_line_count(tmp_path):
