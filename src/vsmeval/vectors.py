@@ -245,13 +245,14 @@ def _parse_row(cells: bytes, row: np.ndarray) -> bool:
                 values = kept.tobytes().split()
                 if len(values) != dimension - len(zero):
                     return False
-                row[keep] = list(map(float, values))
+                row[keep] = np.fromiter(map(float, values), float,
+                                        count=len(values))
                 row[short[is_zero & signed]] = -0.0
                 return True
         values = cells.split(b" ")
         if len(values) != dimension:
             return False
-        row[:] = list(map(float, values))
+        row[:] = np.fromiter(map(float, values), float, count=dimension)
     except ValueError:
         return False
     return True

@@ -189,16 +189,15 @@ def test_zero_heavy_file_roundtrip_property(case, bad, position):
             load_vectors(path)
 
 
-def _nth(pattern, repl):
-    """An edit that replaces the ``at``-th match of ``pattern`` (counted
-    round) by ``repl``, a template or a function of the match."""
+def _nth(pattern, template):
+    """An edit that replaces the ``at``-th match of ``pattern``, counted
+    round, by ``template`` expanded on it."""
     def edit(text, at):
         found = list(re.finditer(pattern, text))
         if not found:
             return text
         m = found[at % len(found)]
-        new = m.expand(repl) if isinstance(repl, str) else repl(m)
-        return text[:m.start()] + new + text[m.end():]
+        return text[:m.start()] + m.expand(template) + text[m.end():]
     return edit
 
 
@@ -214,8 +213,9 @@ def _repeat_a_word(text, at):
 
 _CELL = r"(?<= )[^ \n]+"
 _WORD = r"(?m)^[^ \n]+"
-# Spellings that save_vectors never writes. Under each one, load_vectors
-# must load what the line loop loads, or refuse with its text at its line.
+# Each edit but the first turns a saved file into a spelling save_vectors
+# never writes. On every one, load_vectors must load what the line loop
+# loads, or refuse with the same text at the same line.
 _EDITS = {
     "as-saved": lambda text, at: text,
     "tab-separator": _nth(" ", "\t"),
