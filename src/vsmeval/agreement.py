@@ -458,7 +458,11 @@ def load_evaluation_set(path, language: str | None = None) -> EvaluationSet:
                 path=path, line=lineno,
             )
         cells = fields[4:]
+        numbers = fields[0] + "".join(cells)
         try:
+            # int and float also read "1_0" and non-ASCII digits
+            if "_" in numbers or not numbers.isascii():
+                raise ValueError(numbers)
             index = int(fields[0])
             row = [float(v) if v != "" else np.nan for v in cells]
         except ValueError:

@@ -5,9 +5,8 @@ file with their physical line numbers, and ``read_text`` returns a whole
 file; both raise a ``FormatError`` naming path:line on bytes that are not
 UTF-8. ``read_rows`` gives the cells of the TSV lines that are not ``#``
 comments (score files, whose ``#OOV`` lines are data, use ``read_lines``).
-``read_byte_lines`` streams a file's raw lines, for a reader that parses
-bytes. ``write_lines`` writes every format; ``check_cells`` refuses a TSV
-cell holding a tab or a line break.
+``write_lines`` writes every format; ``check_cells`` refuses a TSV cell
+holding a tab or a line break.
 """
 
 import re
@@ -26,13 +25,6 @@ def read_lines(path):
                 raise FormatError("malformed UTF-8", path=path, line=lineno)
             if not line.isspace():
                 yield lineno, line.rstrip("\n")
-
-
-def read_byte_lines(path):
-    """Yield every line of a file as bytes, each ending in ``b"\\n"``
-    except perhaps the last; nothing is decoded, split or skipped."""
-    with open(path, "rb") as fh:
-        yield from fh
 
 
 def read_rows(path):

@@ -7,20 +7,19 @@ and the ``rows`` gather. PPMI, file IO and CCA all pass such matrices whole.
 The canonical on-disk representation is the word2vec text format: a
 header line ``<vocab_size> <dimension>`` followed by one ``word v1 ... vd``
 line per word, each float in its shortest round-tripping ``repr``.
-``load_vectors`` reads a file in the spelling ``save_vectors`` writes
-(``\\n`` line ends, single spaces, printable ASCII cells, a UTF-8 word of
-any script) in one pass over its bytes, straight into the matrix; in a
-mostly zero line only the cells other than ``0.0`` and ``-0.0`` are
-parsed. Every other valid spelling (tabs, ``\\r\\n``, blank lines, a
-repeated word) still loads, to the same table, through the line loop,
-which is also the one source of every refusal and warning.
+``load_vectors`` is one loop over the file's lines. A line in the
+spelling ``save_vectors`` writes (a word of any script, then printable
+ASCII cells, each after a single space) is parsed from the bytes of its
+cells, and in a mostly zero line only the cells other than ``0.0`` and
+``-0.0`` are parsed. Every other line (tabs, Unicode separators, a bad
+cell) is split by ``str.split``, which is the one source of every
+refusal. No header allocates more than the file's bytes could fill.
 """
 
 from __future__ import annotations
 
-import re
+import os
 import warnings
-from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import chain
 from types import MappingProxyType
@@ -33,7 +32,7 @@ from .errors import (
     EmptyInputError,
     FormatError,
 )
-from .textfile import read_byte_lines, read_lines, write_lines
+from .textfile import read_lines, write_lines
 
 
 @dataclass(frozen=True)
@@ -106,21 +105,11 @@ class CoverageReport:
 def load_vectors(path, language: str = "und") -> VectorTable:
     """Parse a word2vec text file; the header must match the body exactly.
 
-    Duplicate words keep the last occurrence, with a warning. A file
-    spelled as ``save_vectors`` writes it is read in one pass over its
-    bytes; any other file is read again by the line loop, to the same
-    table or the same refusal.
+    Duplicate words keep their first position and their last vector, with
+    a warning. A line spelled as ``save_vectors`` writes it is parsed from
+    the bytes of its cells; any other line is split by ``str.split``,
+    which gives every refusal.
     """
-    scanned = _scan_canonical(path)
-    if scanned is None:
-        return _load_lines(path, language)
-    return VectorTable(language, *scanned)
-
-
-def _load_lines(path, language: str) -> VectorTable:
-    """The line loop: reads any spelling of the format, and is the one
-    place that refuses a malformed file or warns of a duplicate word."""
-    vectors: dict[str, np.ndarray] = {}
     lines = read_lines(path)
     lineno, header = next(lines, (1, ""))
     parts = header.split()
@@ -133,100 +122,84 @@ def _load_lines(path, language: str) -> VectorTable:
         raise FormatError("non-integer header fields", path=path, line=lineno)
     if vocab_size < 0 or dimension < 0:
         raise FormatError("negative header field", path=path, line=lineno)
+    # each line taken below holds at least 2 * dimension + 1 bytes, so no
+    # header makes this allocate more rows than the body could fill, nor
+    # columns when no line can hold them
+    rows = min(vocab_size, os.path.getsize(path) // (2 * dimension + 1))
+    matrix = np.zeros((rows, dimension if rows or not vocab_size else 0))
+    index: dict[str, int] = {}  # word -> row
     for lineno, line in lines:
-        fields = line.split()
-        if len(fields) != dimension + 1:
-            raise FormatError(
-                f"expected {dimension + 1} fields, got {len(fields)}",
-                path=path, line=lineno,
-            )
-        word = fields[0]
-        try:
-            vec = np.fromiter(map(float, fields[1:]), float, count=dimension)
-        except ValueError:
-            raise FormatError("unparseable float", path=path, line=lineno)
-        if not np.all(np.isfinite(vec)):
-            raise FormatError(
-                f"non-finite value in vector for {word!r}",
-                path=path, line=lineno,
-            )
-        if word in vectors:
+        word, _, cells = line.partition(" ")
+        vec = (_parse_row(cells.encode(), dimension)
+               if word.split() == [word] else None)
+        if vec is None or not np.isfinite(vec).all():
+            fields = line.split()
+            if len(fields) != dimension + 1:
+                raise FormatError(
+                    f"expected {dimension + 1} fields, got {len(fields)}",
+                    path=path, line=lineno,
+                )
+            word, numbers = fields[0], "".join(fields[1:])
+            try:
+                # float also reads "1_0" and non-ASCII digits
+                if "_" in numbers or not numbers.isascii():
+                    raise ValueError(numbers)
+                vec = np.fromiter(map(float, fields[1:]), float,
+                                  count=dimension)
+            except ValueError:
+                raise FormatError("unparseable float", path=path, line=lineno)
+            if not np.all(np.isfinite(vec)):
+                raise FormatError(
+                    f"non-finite value in vector for {word!r}",
+                    path=path, line=lineno,
+                )
+        count = len(index)
+        row = index.setdefault(word, count)
+        if row < count:
             warnings.warn(
                 f"duplicate word {word!r} at line {lineno}; "
                 "keeping the last occurrence"
             )
-        vectors[word] = vec
-        if len(vectors) > vocab_size:
+        elif count == vocab_size:
             raise FormatError(
                 f"more than the declared {vocab_size} words",
                 path=path, line=lineno,
             )
-    if len(vectors) != vocab_size:
+        if row == len(matrix):  # a pipe, whose size reads as 0
+            matrix = np.resize(matrix, (min(2 * row + 1, vocab_size),
+                                        dimension))
+        matrix[row] = vec
+    if len(index) != vocab_size:
         raise FormatError(
-            f"header declares {vocab_size} words but body has {len(vectors)}",
+            f"header declares {vocab_size} words but body has {len(index)}",
             path=path,
         )
-    return VectorTable.from_dict(language, vectors, dimension)
+    return VectorTable(language, tuple(index), matrix)
 
 
-_HEADER = re.compile(rb"([1-9][0-9]*) ([1-9][0-9]*)\n")
-_PRINTABLE = bytes(range(0x20, 0x7F))  # printable ASCII, space included
+# printable ASCII, space included; ``float`` also reads ``_`` as a digit
+# separator, which no other reader takes
+_PRINTABLE = bytes(range(0x20, 0x7F)).replace(b"_", b"")
 _SPACE, _MINUS, _ZERO, _POINT = b" -0."  # as byte values
 
 
-def _scan_canonical(path):
-    """``(words, matrix)`` of a file spelled exactly as ``save_vectors``
-    writes it, or None for any other file.
-
-    That spelling is: every line ends in ``\\n``; a header of two positive
-    integers; then the declared number of lines, each a UTF-8 word that
-    ``str.split`` leaves whole and not seen before, followed by exactly
-    ``dimension`` cells of printable ASCII, each after a single space,
-    all finite. On such bytes ``float`` parses a cell as the line loop's
-    ``float`` parses its text.
-    """
-    with closing(read_byte_lines(path)) as lines:
-        match = _HEADER.fullmatch(next(lines, b""))
-        if match is None:
-            return None
-        vocab_size, dimension = int(match[1]), int(match[2])
-        matrix = np.zeros((vocab_size, dimension))
-        words: dict[str, None] = {}
-        for row, line in zip(matrix, lines):
-            cut = line.find(b" ")
-            try:
-                word = line[:cut].decode("utf-8")
-            except UnicodeDecodeError:
-                return None
-            cells = line[cut + 1:-1]
-            if (cut < 1 or not line.endswith(b"\n")
-                    or word.split() != [word]
-                    or cells.translate(None, _PRINTABLE)
-                    or not _parse_row(cells, row)):
-                return None
-            words[word] = None
-        # a repeated word leaves fewer words than rows
-        if len(words) != vocab_size or next(lines, None) is not None:
-            return None
-    if not np.isfinite(matrix).all():
-        return None
-    return tuple(words), matrix
-
-
-def _parse_row(cells: bytes, row: np.ndarray) -> bool:
-    """Fill ``row`` from a line's cells, single-space separated printable
-    ASCII; False unless they are ``len(row)`` floats.
+def _parse_row(cells: bytes, dimension: int):
+    """The vector of a line's cells, or None unless they are exactly
+    ``dimension`` floats in printable ASCII without ``_``, each after a
+    single space but the first. On such bytes ``float`` reads a cell as
+    it reads its text.
 
     When most cells are exactly ``0.0`` or ``-0.0``, one numpy pass over
     the bytes finds them and only the other cells go through ``float``;
     any other line is split with ``bytes.split``."""
-    dimension = len(row)
+    if cells.translate(None, _PRINTABLE):
+        return None
     try:
         if _mostly_zero(cells, dimension):
             text = np.frombuffer(cells, np.uint8)
             spaces = np.flatnonzero(text == _SPACE)
             if len(spaces) != dimension - 1:
-                return False
+                return None
             starts = np.concatenate(([0], spaces + 1))
             stops = np.append(spaces, len(cells))
             lengths = stops - starts
@@ -244,18 +217,18 @@ def _parse_row(cells: bytes, row: np.ndarray) -> bool:
                 kept = text[np.repeat(keep, lengths + 1)[:-1]]
                 values = kept.tobytes().split()
                 if len(values) != dimension - len(zero):
-                    return False
+                    return None
+                row = np.zeros(dimension)
                 row[keep] = np.fromiter(map(float, values), float,
                                         count=len(values))
                 row[short[is_zero & signed]] = -0.0
-                return True
+                return row
         values = cells.split(b" ")
         if len(values) != dimension:
-            return False
-        row[:] = np.fromiter(map(float, values), float, count=dimension)
+            return None
+        return np.fromiter(map(float, values), float, count=dimension)
     except ValueError:
-        return False
-    return True
+        return None
 
 
 def _mostly_zero(cells: bytes, dimension: int) -> bool:

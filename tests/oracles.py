@@ -2,14 +2,21 @@
 
 Everything here deliberately takes the slow, obvious route: explicit pair
 enumeration, scalar formula evaluation, numerical quadrature, and the
-generalized eigenproblem form of CCA.
+generalized eigenproblem form of CCA. ``load_vectors_linewise`` reads
+word2vec text with one ``str.split`` per line into a dict of vectors;
+``load_vectors`` must load what it loads and refuse what it refuses.
 """
 
 import math
+import warnings
 
 import numpy as np
 import scipy.integrate
 import scipy.linalg
+
+from vsmeval.errors import FormatError
+from vsmeval.textfile import read_lines
+from vsmeval.vectors import VectorTable
 
 
 def average_ranks_bruteforce(values):
@@ -144,3 +151,58 @@ def quintile_fscores_sets(order1, order2, sizes):
         f.append(2 * len(a & b) / (len(a) + len(b)))
         start += size
     return f
+
+
+def load_vectors_linewise(path, language: str) -> VectorTable:
+    """The line loop: reads any spelling of the format, and is the one
+    place that refuses a malformed file or warns of a duplicate word."""
+    vectors: dict[str, np.ndarray] = {}
+    lines = read_lines(path)
+    lineno, header = next(lines, (1, ""))
+    parts = header.split()
+    if len(parts) != 2:
+        raise FormatError("expected header '<vocab_size> <dimension>'",
+                          path=path, line=lineno)
+    try:
+        vocab_size, dimension = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise FormatError("non-integer header fields", path=path, line=lineno)
+    if vocab_size < 0 or dimension < 0:
+        raise FormatError("negative header field", path=path, line=lineno)
+    for lineno, line in lines:
+        fields = line.split()
+        if len(fields) != dimension + 1:
+            raise FormatError(
+                f"expected {dimension + 1} fields, got {len(fields)}",
+                path=path, line=lineno,
+            )
+        word = fields[0]
+        numbers = "".join(fields[1:])
+        try:
+            if "_" in numbers or not numbers.isascii():
+                raise ValueError(numbers)
+            vec = np.fromiter(map(float, fields[1:]), float, count=dimension)
+        except ValueError:
+            raise FormatError("unparseable float", path=path, line=lineno)
+        if not np.all(np.isfinite(vec)):
+            raise FormatError(
+                f"non-finite value in vector for {word!r}",
+                path=path, line=lineno,
+            )
+        if word in vectors:
+            warnings.warn(
+                f"duplicate word {word!r} at line {lineno}; "
+                "keeping the last occurrence"
+            )
+        vectors[word] = vec
+        if len(vectors) > vocab_size:
+            raise FormatError(
+                f"more than the declared {vocab_size} words",
+                path=path, line=lineno,
+            )
+    if len(vectors) != vocab_size:
+        raise FormatError(
+            f"header declares {vocab_size} words but body has {len(vectors)}",
+            path=path,
+        )
+    return VectorTable.from_dict(language, vectors, dimension)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import threading
 
 import numpy as np
@@ -522,6 +523,21 @@ class TestEvaluationSetIO:
         assert again.pairs.pairs == evalset.pairs.pairs
         assert again.batches == evalset.batches
         assert np.array_equal(again.scores, evalset.scores)
+
+    @pytest.mark.parametrize("cells", [("1_0", "2.0"), ("1", "\u0663"),
+                                       ("1", "2_5.0"), ("\u0661", "2.0")])
+    def test_underscore_or_non_ascii_digit_refused(self, tmp_path, cells):
+        # int and float read these as 10, 3.0, 25.0 and 1; no writer
+        # spells them so
+        path = tmp_path / "set.tsv"
+        index, score = cells
+        path.write_text("pair_index\tword1\tword2\tbatch\ta01\n"
+                        "0\tcat\tdog\t0\t1.0\n"
+                        f"{index}\tcat\tcow\t0\t{score}\n",
+                        encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(
+                f"non-numeric pair index or score [{path}:3]")):
+            load_evaluation_set(path)
 
     def test_set_without_annotator_columns_not_saved(self, tmp_path):
         evalset = make_evalset(np.empty((4, 0)), batch_size=2)

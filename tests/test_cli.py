@@ -648,7 +648,10 @@ def test_cli_on_a_damaged_input_exits_0_2_3_or_4(workspace, command):
     @settings(max_examples=40, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
     # one-byte damage of the workspace never makes a negative vector header
+    # or one that declares more than any memory holds
     @example(damage=(0, b"0 -1\n"))
+    @example(damage=(0, b"100000000000000000000 100000000000000000000\n"
+                        b"w 1.0\n"))
     @given(damage=_one_damaged_file(originals))
     def check(damage):
         i, data = damage

@@ -1,8 +1,10 @@
 import os
 import re
 import tempfile
+import threading
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +14,7 @@ from hypothesis import strategies as st
 from vsmeval.errors import AlignmentError, EmptyInputError, FormatError
 from vsmeval.vectors import (
     VectorTable,
-    _load_lines,
-    _scan_canonical,
+    _parse_row,
     load_vectors,
     save_vectors,
     vocabulary_coverage,
@@ -21,6 +22,7 @@ from vsmeval.vectors import (
 )
 
 from conftest import make_evalset
+from oracles import load_vectors_linewise
 
 
 def _table(words, dim=3, language="en", rng=None):
@@ -215,7 +217,7 @@ _CELL = r"(?<= )[^ \n]+"
 _WORD = r"(?m)^[^ \n]+"
 # Each edit but the first turns a saved file into a spelling save_vectors
 # never writes. On every one, load_vectors must load what the line loop
-# loads, or refuse with the same text at the same line.
+# of oracles.py loads, or refuse with the same text at the same line.
 _EDITS = {
     "as-saved": lambda text, at: text,
     "tab-separator": _nth(" ", "\t"),
@@ -244,6 +246,9 @@ _EDITS = {
     "more-words-declared": _nth(r"\A[0-9]+", r"1\g<0>"),
     "dimension-1": _nth(r"\A([0-9]+) [0-9]+", r"\1 1"),
     "dimension-x10": _nth(r"\A([0-9]+) ([0-9]+)", r"\1 \g<2>0"),
+    # more than any memory holds: neither may reach an allocation
+    "huge-word-count": _nth(r"\A[0-9]+", "1" + "0" * 20),
+    "huge-dimension": _nth(r"\A([0-9]+) [0-9]+", r"\1 1" + "0" * 20),
 }
 
 
@@ -260,6 +265,21 @@ def _saved_tables(draw):
                           min_size=dim, max_size=dim)) for _ in words]
     return VectorTable("en", tuple(words),
                        np.array(rows, dtype=float).reshape(len(words), dim))
+
+
+def _parsed_rows(path):
+    """Load ``path``; for each line that reached ``_parse_row``, whether
+    it gave a vector."""
+    parsed = []
+
+    def spy(cells, dimension):
+        vec = _parse_row(cells, dimension)
+        parsed.append(vec is not None)
+        return vec
+
+    with mock.patch("vsmeval.vectors._parse_row", spy):
+        load_vectors(path)
+    return parsed
 
 
 def _outcome(load, path):
@@ -285,14 +305,15 @@ def test_one_pass_reader_equals_the_line_loop_property(name, table, at, more):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "v.txt")
         save_vectors(table, path)
-        assert _scan_canonical(path) is not None
+        assert _parsed_rows(path) == [True] * len(table)
         with open(path, encoding="utf-8", newline="") as fh:
             text = fh.read()
         for edit, position in [(name, at)] + more:
             text = _EDITS[edit](text, position)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        assert _outcome(load_vectors, path) == _outcome(_load_lines, path)
+        assert (_outcome(load_vectors, path)
+                == _outcome(load_vectors_linewise, path))
 
 
 def test_non_ascii_words_take_the_one_pass_reader(tmp_path):
@@ -301,9 +322,20 @@ def test_non_ascii_words_take_the_one_pass_reader(tmp_path):
                        [-0.0, 0.0, 0.0, 0.0], [1e-310, 7.0, -8.5, 1.0]])
     path = tmp_path / "v.txt"
     save_vectors(VectorTable("en", words, matrix), path)
-    scanned_words, scanned = _scan_canonical(path)
-    assert scanned_words == words
-    assert scanned.tobytes() == matrix.tobytes()
+    assert _parsed_rows(path) == [True] * len(words)
+    table = load_vectors(path)
+    assert table.words == words
+    assert table.matrix.tobytes() == matrix.tobytes()
+
+
+@pytest.mark.parametrize("cell", ["1_0", "1.5_5", "\u0661.5", "1.\u0665"])
+def test_underscore_or_non_ascii_digit_refused(tmp_path, cell):
+    # float reads these as 10.0, 1.55, 1.5 and 1.5; no writer spells them so
+    path = tmp_path / "v.txt"
+    path.write_text(f"2 2\na 0.5 0.0\nb {cell} 2.0\n", encoding="utf-8")
+    with pytest.raises(FormatError,
+                       match=re.escape(f"unparseable float [{path}:3]")):
+        load_vectors(path)
 
 
 def test_mostly_zero_load_peaks_near_its_matrix(tmp_path):
@@ -324,6 +356,24 @@ def test_mostly_zero_load_peaks_near_its_matrix(tmp_path):
         tracemalloc.stop()
     assert table.matrix.tobytes() == matrix.tobytes()
     assert peak <= 1.5 * matrix.nbytes
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_load_from_a_named_pipe(tmp_path):
+    # a pipe's size reads as 0, so its rows are allocated as they come
+    table = _table([f"w{i}" for i in range(9)], dim=2)
+    saved, path = tmp_path / "v.txt", tmp_path / "v.fifo"
+    save_vectors(table, saved)
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes,
+                              args=(saved.read_bytes(),))
+    writer.start()
+    try:
+        loaded = load_vectors(path)
+    finally:
+        writer.join()
+    assert loaded.words == table.words
+    assert loaded.matrix.tobytes() == table.matrix.tobytes()
 
 
 def test_save_line_count(tmp_path):
