@@ -7,56 +7,42 @@ languages; ``identity_stem`` is the trivial plug-in.
 
 __all__ = ["porter_stem", "identity_stem"]
 
-_VOWELS = "aeiou"
-
 
 def identity_stem(word: str) -> str:
     return word
 
 
-def _is_consonant(word, i):
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+def _form(word):
+    """One ``c`` or ``v`` per letter: a, e, i, o and u are vowels, y is a
+    vowel iff it follows a consonant, and every other letter is a
+    consonant."""
+    form = []
+    consonant = False
+    for ch in word:
+        consonant = ch not in "aeiou" and (ch != "y" or not consonant)
+        form.append("c" if consonant else "v")
+    return "".join(form)
 
 
 def _measure(stem):
     # number of VC alternations in the c*(VC)^m v* decomposition
-    m = 0
-    prev_vowel = False
-    for i in range(len(stem)):
-        vowel = not _is_consonant(stem, i)
-        if prev_vowel and not vowel:
-            m += 1
-        prev_vowel = vowel
-    return m
+    return _form(stem).count("vc")
 
 
 def _contains_vowel(stem):
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+    return "v" in _form(stem)
 
 
 def _ends_double_consonant(word):
     return (
         len(word) >= 2
         and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
+        and _form(word).endswith("c")
     )
 
 
 def _ends_cvc(word):
-    if len(word) < 3:
-        return False
-    if not (
-        _is_consonant(word, len(word) - 3)
-        and not _is_consonant(word, len(word) - 2)
-        and _is_consonant(word, len(word) - 1)
-    ):
-        return False
-    return word[-1] not in "wxy"
+    return _form(word).endswith("cvc") and word[-1] not in "wxy"
 
 
 def _replace(word, suffix, repl, min_measure):
@@ -118,13 +104,24 @@ _STEP3 = [
     ("ical", "ic"), ("ful", ""), ("ness", ""),
 ]
 
-_STEP4 = [
+_STEP4 = (
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-]
+)
+
+_STEP2_ENDINGS = tuple(suffix for suffix, _ in _STEP2)
+_STEP3_ENDINGS = tuple(suffix for suffix, _ in _STEP3)
+
+# Every ending some step acts on: "s" (1a), "ed" and "ing" (1b; "ed"
+# covers "eed"), "y" (1c), the tables of steps 2-4, and "e" and "ll" (5).
+# A word ending in none of them is left unchanged by every step.
+_ENDINGS = (("s", "ed", "ing", "y", "e", "ll")
+            + _STEP2_ENDINGS + _STEP3_ENDINGS + _STEP4)
 
 
 def _step2(w):
+    if not w.endswith(_STEP2_ENDINGS):
+        return w
     for suffix, repl in _STEP2:
         if w.endswith(suffix):
             return _replace(w, suffix, repl, 0)
@@ -132,6 +129,8 @@ def _step2(w):
 
 
 def _step3(w):
+    if not w.endswith(_STEP3_ENDINGS):
+        return w
     for suffix, repl in _STEP3:
         if w.endswith(suffix):
             return _replace(w, suffix, repl, 0)
@@ -139,6 +138,8 @@ def _step3(w):
 
 
 def _step4(w):
+    if not w.endswith(_STEP4):
+        return w
     for suffix in _STEP4:
         if w.endswith(suffix):
             stem = w[: len(w) - len(suffix)]
@@ -162,9 +163,10 @@ def _step5(w):
 
 
 def porter_stem(word: str) -> str:
-    """Stem an English word. Words of length <= 2 pass through unchanged."""
+    """Stem an English word. The word is lower-cased first; words of
+    length <= 2 come back lower-cased and otherwise unchanged."""
     w = word.lower()
-    if len(w) <= 2:
+    if len(w) <= 2 or not w.endswith(_ENDINGS):
         return w
     for step in (_step1a, _step1b, _step1c, _step2, _step3, _step4, _step5):
         w = step(w)

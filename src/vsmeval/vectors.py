@@ -122,6 +122,11 @@ def load_vectors(path, language: str = "und") -> VectorTable:
         raise FormatError("non-integer header fields", path=path, line=lineno)
     if vocab_size < 0 or dimension < 0:
         raise FormatError("negative header field", path=path, line=lineno)
+    # an empty table keeps the header's dimension, and numpy refuses the
+    # shape of a float row longer than its largest byte count
+    if not vocab_size and dimension > np.iinfo(np.intp).max // 8:
+        raise FormatError("dimension too large for an array",
+                          path=path, line=lineno)
     # each line taken below holds at least 2 * dimension + 1 bytes, so no
     # header makes this allocate more rows than the body could fill, nor
     # columns when no line can hold them

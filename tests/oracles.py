@@ -5,6 +5,8 @@ enumeration, scalar formula evaluation, numerical quadrature, and the
 generalized eigenproblem form of CCA. ``load_vectors_linewise`` reads
 word2vec text with one ``str.split`` per line into a dict of vectors;
 ``load_vectors`` must load what it loads and refuse what it refuses.
+``porter_stem_reference`` is the Porter stemmer as first written, one
+recursive consonant test per letter and every table entry tried in turn.
 """
 
 import math
@@ -206,3 +208,164 @@ def load_vectors_linewise(path, language: str) -> VectorTable:
             path=path,
         )
     return VectorTable.from_dict(language, vectors, dimension)
+
+
+_VOWELS = "aeiou"
+
+
+def _is_consonant(word, i):
+    ch = word[i]
+    if ch in _VOWELS:
+        return False
+    if ch == "y":
+        return i == 0 or not _is_consonant(word, i - 1)
+    return True
+
+
+def _measure(stem):
+    # number of VC alternations in the c*(VC)^m v* decomposition
+    m = 0
+    prev_vowel = False
+    for i in range(len(stem)):
+        vowel = not _is_consonant(stem, i)
+        if prev_vowel and not vowel:
+            m += 1
+        prev_vowel = vowel
+    return m
+
+
+def _contains_vowel(stem):
+    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+
+
+def _ends_double_consonant(word):
+    return (
+        len(word) >= 2
+        and word[-1] == word[-2]
+        and _is_consonant(word, len(word) - 1)
+    )
+
+
+def _ends_cvc(word):
+    if len(word) < 3:
+        return False
+    if not (
+        _is_consonant(word, len(word) - 3)
+        and not _is_consonant(word, len(word) - 2)
+        and _is_consonant(word, len(word) - 1)
+    ):
+        return False
+    return word[-1] not in "wxy"
+
+
+def _replace(word, suffix, repl, min_measure):
+    stem = word[: len(word) - len(suffix)]
+    if _measure(stem) > min_measure:
+        return stem + repl
+    return word
+
+
+def _step1a(w):
+    if w.endswith("sses"):
+        return w[:-2]
+    if w.endswith("ies"):
+        return w[:-2]
+    if w.endswith("ss"):
+        return w
+    if w.endswith("s"):
+        return w[:-1]
+    return w
+
+
+def _step1b(w):
+    if w.endswith("eed"):
+        stem = w[:-3]
+        if _measure(stem) > 0:
+            return w[:-1]
+        return w
+    flag = False
+    if w.endswith("ed") and _contains_vowel(w[:-2]):
+        w, flag = w[:-2], True
+    elif w.endswith("ing") and _contains_vowel(w[:-3]):
+        w, flag = w[:-3], True
+    if flag:
+        if w.endswith(("at", "bl", "iz")):
+            return w + "e"
+        if _ends_double_consonant(w) and w[-1] not in "lsz":
+            return w[:-1]
+        if _measure(w) == 1 and _ends_cvc(w):
+            return w + "e"
+    return w
+
+
+def _step1c(w):
+    if w.endswith("y") and _contains_vowel(w[:-1]):
+        return w[:-1] + "i"
+    return w
+
+
+_STEP2 = [
+    ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
+    ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
+    ("eli", "e"), ("ousli", "ous"), ("ization", "ize"), ("ation", "ate"),
+    ("ator", "ate"), ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
+    ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
+]
+
+_STEP3 = [
+    ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
+    ("ical", "ic"), ("ful", ""), ("ness", ""),
+]
+
+_STEP4 = [
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+    "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+]
+
+
+def _step2(w):
+    for suffix, repl in _STEP2:
+        if w.endswith(suffix):
+            return _replace(w, suffix, repl, 0)
+    return w
+
+
+def _step3(w):
+    for suffix, repl in _STEP3:
+        if w.endswith(suffix):
+            return _replace(w, suffix, repl, 0)
+    return w
+
+
+def _step4(w):
+    for suffix in _STEP4:
+        if w.endswith(suffix):
+            stem = w[: len(w) - len(suffix)]
+            if suffix == "ion" and not stem.endswith(("s", "t")):
+                return w
+            if _measure(stem) > 1:
+                return stem
+            return w
+    return w
+
+
+def _step5(w):
+    if w.endswith("e"):
+        stem = w[:-1]
+        m = _measure(stem)
+        if m > 1 or (m == 1 and not _ends_cvc(stem)):
+            w = stem
+    if _ends_double_consonant(w) and w.endswith("l") and _measure(w[:-1]) > 1:
+        w = w[:-1]
+    return w
+
+
+def porter_stem_reference(word: str) -> str:
+    """Porter (1980) with a recursive consonant test and a scan of every
+    table entry: ``porter_stem`` must return what this returns."""
+    w = word.lower()
+    if len(w) <= 2:
+        return w
+    for step in (_step1a, _step1b, _step1c, _step2, _step3, _step4, _step5):
+        w = step(w)
+    return w

@@ -50,6 +50,16 @@ def test_build_bow_deterministic(workspace):
     assert table.dimension == 10
 
 
+def test_build_bow_clean_stems_a_long_y_run(tmp_path):
+    # the recursive consonant test of the stemmer overflowed the stack here
+    corpus, targets = tmp_path / "corpus.txt", tmp_path / "targets.txt"
+    corpus.write_text("cat sat mat.\ncat b" + "y" * 1200 + "ed mat.\n")
+    targets.write_text("cat\nmat\n")
+    assert main(["build-bow", "--corpus", str(corpus), "--clean",
+                 "--targets", str(targets), "--k", "3",
+                 "--out", str(tmp_path / "bow.txt")]) == 0
+
+
 def test_build_bow_missing_input_exit_2(workspace, capsys):
     code = main(["build-bow", "--corpus", str(workspace / "nope.txt"),
                  "--targets", str(workspace / "targets.txt"),
@@ -647,9 +657,11 @@ def test_cli_on_a_damaged_input_exits_0_2_3_or_4(workspace, command):
 
     @settings(max_examples=40, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
-    # one-byte damage of the workspace never makes a negative vector header
-    # or one that declares more than any memory holds
+    # one-byte damage of the workspace never makes a negative vector header,
+    # one that declares more than any memory holds, or an empty table
+    # wider than numpy can shape
     @example(damage=(0, b"0 -1\n"))
+    @example(damage=(0, b"0 100000000000000000000\n"))
     @example(damage=(0, b"100000000000000000000 100000000000000000000\n"
                         b"w 1.0\n"))
     @given(damage=_one_damaged_file(originals))

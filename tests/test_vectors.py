@@ -70,6 +70,17 @@ def test_negative_header_field_names_line(tmp_path, text):
         load_vectors(path)
 
 
+def test_empty_table_wider_than_numpy_shapes_names_line(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text(f"0 {2**60 - 1}\n")
+    assert load_vectors(path).matrix.shape == (0, 2**60 - 1)
+    for dimension in (2**60, 10**20):
+        path.write_text(f"0 {dimension}\n")
+        with pytest.raises(FormatError, match=re.escape(
+                f"dimension too large for an array [{path}:1]")):
+            load_vectors(path)
+
+
 def test_nonfinite_value_rejected(tmp_path):
     path = tmp_path / "v.txt"
     path.write_text("1 2\na nan 0\n")
