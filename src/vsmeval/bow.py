@@ -3,7 +3,9 @@ over the k most frequent context words, normalized to PPMI.
 
 Counting never crosses sentence boundaries. A row exists for every target
 word (typically all words appearing in an evaluation pair), a column for
-each of the k most frequent corpus words.
+each of the k most frequent corpus words. Counts are kept as (row, col,
+count) triplets of the non-zero cells, and PPMI takes logs at those cells
+only, so the output matrix is the one dense rows x k array left.
 """
 
 from __future__ import annotations
@@ -20,15 +22,29 @@ from .vectors import VectorTable
 
 @dataclass
 class CountMatrix:
+    """A |rows| x k count matrix as triplets: ``values[i]`` counts the cell
+    (``rows[i]``, ``cols[i]``), and a cell without a triplet counts 0.
+    ``count_cooccurrences`` gives one triplet per non-zero cell, in
+    row-major order."""
+
     row_words: tuple[str, ...]
     col_words: tuple[str, ...]
-    counts: np.ndarray  # |rows| x k, nonnegative integers
+    rows: np.ndarray  # int64 row index per triplet
+    cols: np.ndarray  # int64 column index per triplet
+    values: np.ndarray  # int64 count per triplet
     window: int
     language: str = "und"
 
     @property
     def total(self) -> int:
-        return int(self.counts.sum())
+        return int(self.values.sum())
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The dense |rows| x k int64 matrix, built anew on each read."""
+        dense = np.zeros((len(self.row_words), len(self.col_words)), np.int64)
+        dense[self.rows, self.cols] = self.values
+        return dense
 
 
 def count_cooccurrences(
@@ -70,11 +86,11 @@ def count_cooccurrences(
         for r, c in ((rows[:-d], cols[d:]), (rows[d:], cols[:-d])):
             hit = same & (r >= 0) & (c >= 0)
             keys.append(r[hit] * k + c[hit])
-    counts = np.bincount(np.concatenate(keys), minlength=len(row_words) * k)
-    counts = counts.astype(np.int64, copy=False).reshape(len(row_words), k)
+    # sorted distinct keys are the non-zero cells in row-major order
+    idx, values = np.unique(np.concatenate(keys), return_counts=True)
     return CountMatrix(
-        row_words=row_words, col_words=col_words, counts=counts, window=window,
-        language=corpus.language,
+        row_words=row_words, col_words=col_words, rows=idx // k,
+        cols=idx % k, values=values, window=window, language=corpus.language,
     )
 
 
@@ -83,17 +99,22 @@ def ppmi_transform(m: CountMatrix) -> VectorTable:
 
     Marginals come from the matrix itself; rows that never co-occur with
     any context become zero vectors. Natural log; the choice of base only
-    rescales the whole table and leaves cosine untouched.
+    rescales the whole table and leaves cosine untouched. Logs are taken
+    only at cells with a positive count; every other cell is 0.
     """
     total = m.total
     if total == 0:
         raise DegenerateError("PPMI of an all-zero count matrix is undefined")
-    counts = m.counts.astype(float)
-    row_sums = counts.sum(axis=1, keepdims=True)
-    col_sums = counts.sum(axis=0, keepdims=True)
+    shape = (len(m.row_words), len(m.col_words))
+    row_sums = np.bincount(m.rows, weights=m.values, minlength=shape[0])
+    col_sums = np.bincount(m.cols, weights=m.values, minlength=shape[1])
+    hit = m.values > 0
+    rows, cols = m.rows[hit], m.cols[hit]
+    n = m.values[hit].astype(float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        pmi = np.log(counts * total) - np.log(row_sums * col_sums)
-    ppmi = np.where(counts > 0, np.maximum(pmi, 0.0), 0.0)
+        pmi = np.log(n * total) - np.log(row_sums[rows] * col_sums[cols])
+    ppmi = np.zeros(shape)
+    ppmi[rows, cols] = np.maximum(pmi, 0.0)
     return VectorTable(m.language, m.row_words, ppmi)
 
 

@@ -2,14 +2,10 @@
 stemmer for corpus cleaning.
 
 Any callable ``str -> str`` can be injected in its place for other
-languages; ``identity_stem`` is the trivial plug-in.
+languages.
 """
 
-__all__ = ["porter_stem", "identity_stem"]
-
-
-def identity_stem(word: str) -> str:
-    return word
+__all__ = ["porter_stem"]
 
 
 def _form(word):

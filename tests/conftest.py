@@ -3,6 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 from vsmeval.agreement import EvaluationSet
+from vsmeval.bow import CountMatrix
 from vsmeval.scoring import WordPairList
 
 
@@ -22,6 +23,14 @@ def damaged(draw, data: bytes):
     pos = draw(st.integers(0, len(data) - replace))
     byte = draw(st.binary(min_size=1, max_size=1))
     return data[:pos] + byte + data[pos + replace:]
+
+
+def dense_count_matrix(row_words, col_words, counts, window, language="und"):
+    """A CountMatrix holding the non-zero cells of a dense count array."""
+    counts = np.asarray(counts)
+    rows, cols = np.nonzero(counts)
+    return CountMatrix(tuple(row_words), tuple(col_words), rows, cols,
+                       counts[rows, cols].astype(np.int64), window, language)
 
 
 def _rescale_to_range(scores, lo=0.0, hi=10.0):

@@ -7,6 +7,8 @@ word2vec text with one ``str.split`` per line into a dict of vectors;
 ``load_vectors`` must load what it loads and refuse what it refuses.
 ``porter_stem_reference`` is the Porter stemmer as first written, one
 recursive consonant test per letter and every table entry tried in turn.
+``ppmi_dense_reference`` is PPMI as first written, over the dense count
+matrix with every cell's log taken.
 """
 
 import math
@@ -16,7 +18,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from vsmeval.errors import FormatError
+from vsmeval.errors import DegenerateError, FormatError
 from vsmeval.textfile import read_lines
 from vsmeval.vectors import VectorTable
 
@@ -121,6 +123,26 @@ def ppmi_scalar(count, row_sum, col_sum, total):
     if count == 0 or row_sum == 0 or col_sum == 0:
         return 0.0
     return max(0.0, math.log(count * total / (row_sum * col_sum)))
+
+
+def ppmi_dense_reference(m):
+    """entry(w, c) = max(0, ln(n(w,c) * total / (row_sum(w) * col_sum(c)))).
+
+    Marginals come from the matrix itself; rows that never co-occur with
+    any context become zero vectors. Natural log; the choice of base only
+    rescales the whole table and leaves cosine untouched. Dense throughout:
+    ``ppmi_transform`` must return what this returns, bit for bit.
+    """
+    total = m.total
+    if total == 0:
+        raise DegenerateError("PPMI of an all-zero count matrix is undefined")
+    counts = m.counts.astype(float)
+    row_sums = counts.sum(axis=1, keepdims=True)
+    col_sums = counts.sum(axis=0, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pmi = np.log(counts * total) - np.log(row_sums * col_sums)
+    ppmi = np.where(counts > 0, np.maximum(pmi, 0.0), 0.0)
+    return VectorTable(m.language, m.row_words, ppmi)
 
 
 def cca_correlations_eigen(X, Y, eps=1e-8):

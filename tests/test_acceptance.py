@@ -19,7 +19,7 @@ from vsmeval.agreement import (
     quintile_agreement_analysis,
     within_language_agreement,
 )
-from vsmeval.bow import CountMatrix, count_cooccurrences, ppmi_transform
+from vsmeval.bow import count_cooccurrences, ppmi_transform
 from vsmeval.cli import main
 from vsmeval.combine import fit_cca, interpolate_scores
 from vsmeval.corpus import Corpus, build_vocabulary
@@ -32,7 +32,8 @@ from vsmeval.stats import (
     welch_t_test,
 )
 
-from conftest import build_cli_workspace, synthetic_languages
+from conftest import (build_cli_workspace, dense_count_matrix,
+                      synthetic_languages)
 from oracles import (
     cca_correlations_eigen,
     cooccurrence_bruteforce,
@@ -142,8 +143,8 @@ def test_ppmi_oracle_equivalence():
                                    int(col_sums[j]), m.total)
                 assert abs(table.vectors[w][j] - want) <= 1e-12
 
-        scaled = CountMatrix(m.row_words, m.col_words,
-                             m.counts * 7, m.window)
+        scaled = dense_count_matrix(m.row_words, m.col_words,
+                                    m.counts * 7, m.window)
         rescaled = ppmi_transform(scaled)
         for w in m.row_words:
             assert np.allclose(rescaled.vectors[w], table.vectors[w],

@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vsmeval.bow import count_cooccurrences, ppmi_transform, CountMatrix
+from vsmeval.bow import (CountMatrix, build_bow_table, count_cooccurrences,
+                         ppmi_transform)
 from vsmeval.corpus import Corpus, build_vocabulary
 from vsmeval.errors import ArgumentError, DegenerateError
 
-from oracles import cooccurrence_bruteforce, ppmi_scalar
+from conftest import dense_count_matrix
+from oracles import (cooccurrence_bruteforce, ppmi_dense_reference,
+                     ppmi_scalar)
 
 
 def _corpus(*sentences):
@@ -128,16 +132,16 @@ def test_wider_window_never_decreases_counts(rng):
 
 
 def test_ppmi_independence_gives_zero():
-    m = CountMatrix(("a", "b"), ("x", "y"),
-                    np.array([[1, 1], [1, 1]]), window=1)
+    m = dense_count_matrix(("a", "b"), ("x", "y"),
+                           np.array([[1, 1], [1, 1]]), window=1)
     table = ppmi_transform(m)
     assert np.allclose(table.vectors["a"], 0.0)
     assert np.allclose(table.vectors["b"], 0.0)
 
 
 def test_ppmi_diagonal_hand_value():
-    m = CountMatrix(("a", "b"), ("x", "y"),
-                    np.array([[2, 0], [0, 2]]), window=1)
+    m = dense_count_matrix(("a", "b"), ("x", "y"),
+                           np.array([[2, 0], [0, 2]]), window=1)
     table = ppmi_transform(m)
     # n=2, total=4, row=col=2: ln(2*4/(2*2)) = ln 2
     assert table.vectors["a"][0] == pytest.approx(math.log(2), abs=1e-12)
@@ -147,7 +151,7 @@ def test_ppmi_diagonal_hand_value():
 
 def test_ppmi_nonnegative_and_matches_scalar_formula(rng):
     counts = rng.integers(0, 6, size=(7, 9))
-    m = CountMatrix(
+    m = dense_count_matrix(
         tuple(f"r{i}" for i in range(7)),
         tuple(f"c{j}" for j in range(9)),
         counts, window=2,
@@ -169,20 +173,95 @@ def test_ppmi_scale_invariance(rng):
     counts[0, 0] += 1  # nonzero total
     rows = tuple(f"r{i}" for i in range(5))
     cols = tuple(f"c{j}" for j in range(6))
-    t1 = ppmi_transform(CountMatrix(rows, cols, counts, 1))
-    t2 = ppmi_transform(CountMatrix(rows, cols, counts * 2, 1))
+    t1 = ppmi_transform(dense_count_matrix(rows, cols, counts, 1))
+    t2 = ppmi_transform(dense_count_matrix(rows, cols, counts * 2, 1))
     for w in rows:
         assert np.allclose(t1.vectors[w], t2.vectors[w], atol=1e-12)
 
 
 def test_ppmi_zero_matrix_rejected():
-    m = CountMatrix(("a",), ("x",), np.zeros((1, 1), dtype=int), 1)
+    m = dense_count_matrix(("a",), ("x",), np.zeros((1, 1), dtype=int), 1)
     with pytest.raises(DegenerateError):
         ppmi_transform(m)
 
 
 def test_ppmi_zero_row_becomes_zero_vector():
-    m = CountMatrix(("a", "b"), ("x", "y"),
-                    np.array([[0, 0], [1, 2]]), 1)
+    m = dense_count_matrix(("a", "b"), ("x", "y"),
+                           np.array([[0, 0], [1, 2]]), 1)
     table = ppmi_transform(m)
     assert np.all(table.vectors["a"] == 0.0)
+
+
+@st.composite
+def _count_arrays(draw):
+    """A dense count array: 1x1 to 40x300, any density, counts up to
+    10**9, some rows and columns zeroed out."""
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 300)))
+    density = draw(st.floats(0.0, 1.0))
+    high = draw(st.sampled_from([1, 3, 1000, 10**9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(1, high, size=shape, endpoint=True)
+    counts[rng.random(shape) >= density] = 0
+    counts[rng.random(shape[0]) < draw(st.floats(0.0, 0.5))] = 0
+    counts[:, rng.random(shape[1]) < draw(st.floats(0.0, 0.5))] = 0
+    return counts
+
+
+def _single(shape, cell, value):
+    counts = np.zeros(shape, dtype=np.int64)
+    counts[cell] = value
+    return counts
+
+
+@settings(deadline=None, max_examples=200)
+@given(_count_arrays(), st.booleans())
+@example(np.zeros((1, 1), dtype=np.int64), False)
+@example(np.zeros((3, 5), dtype=np.int64), True)
+@example(_single((1, 1), (0, 0), 1), False)
+@example(_single((40, 300), (17, 123), 10**9), False)
+@example(_single((40, 300), (39, 0), 1), True)
+@example(np.full((40, 300), 10**9, dtype=np.int64), False)
+@example(np.array([[3, -1], [2, 5]]), False)  # marginals sum every triplet
+def test_ppmi_equals_the_dense_reference(counts, every_cell):
+    rows = tuple(f"r{i}" for i in range(counts.shape[0]))
+    cols = tuple(f"c{j}" for j in range(counts.shape[1]))
+    m = dense_count_matrix(rows, cols, counts, 2, "en")
+    if every_cell:
+        # a library caller may pass a triplet per cell, zeros included
+        r, c = np.indices(counts.shape).reshape(2, -1)
+        m = CountMatrix(rows, cols, r, c, counts.ravel(), 2, "en")
+    try:
+        want = ppmi_dense_reference(m)
+    except DegenerateError as error:
+        with pytest.raises(DegenerateError) as got:
+            ppmi_transform(m)
+        assert str(got.value) == str(error)
+        return
+    table = ppmi_transform(m)
+    assert table.language == want.language
+    assert table.words == want.words
+    # equal bytes: equal values and equal sign bits, zeros included
+    assert table.matrix.tobytes() == want.matrix.tobytes()
+
+
+def test_paper_scale_build_peaks_near_its_matrix():
+    # 1000 targets x k=10000 on a 200k-token Zipf corpus; dense counts and
+    # dense PPMI temporaries peaked at about five times the output matrix
+    rng = np.random.default_rng(0)
+    words = [f"w{i}" for i in range(12_000)]
+    p = 1.0 / np.arange(1, len(words) + 1)
+    tokens = [words[i] for i in rng.choice(len(words), 200_000,
+                                           p=p / p.sum())]
+    sentences = tuple(tuple(tokens[i:i + 15])
+                      for i in range(0, len(tokens), 15))
+    corpus = Corpus("en", sentences + (tuple(words),))
+    vocab = build_vocabulary(corpus)
+    tracemalloc.start()
+    try:
+        table = build_bow_table(corpus, words[::12], vocab, k=10_000,
+                                window=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.matrix.shape == (1000, 10_000)
+    assert peak <= 2.0 * table.matrix.nbytes

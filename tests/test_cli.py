@@ -324,11 +324,13 @@ def test_manifest_embedded_in_reports(workspace):
 
 
 def test_cli_import_leaves_scipy_stats_out():
+    # bow keeps its counts as plain numpy triplets, not scipy.sparse
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run(
         [sys.executable, "-c",
-         "import vsmeval.cli, sys; assert 'scipy.stats' not in sys.modules"],
+         "import vsmeval.cli, sys; assert 'scipy.stats' not in sys.modules; "
+         "assert 'scipy.sparse' not in sys.modules"],
         env=env, check=True,
     )
 

@@ -13,7 +13,7 @@ from vsmeval.corpus import (
     write_corpus,
 )
 from vsmeval.errors import ArgumentError, EmptyInputError, FormatError
-from vsmeval.stemming import identity_stem, porter_stem
+from vsmeval.stemming import porter_stem
 
 
 def test_tokenize_sentences_and_lowercasing():
@@ -52,7 +52,7 @@ def test_tokenize_bad_utf8_names_offset(tmp_path):
 
 def test_clean_drops_stopwords_and_nonalpha():
     corpus = Corpus("en", (("the", "cat", "42", "running"),))
-    cleaned = clean_tokens(corpus, stopwords={"the"}, stemmer=identity_stem)
+    cleaned = clean_tokens(corpus, stopwords={"the"}, stemmer=lambda w: w)
     assert cleaned.sentences == (("cat", "running"),)
 
 
@@ -85,13 +85,13 @@ def test_clean_stems_each_distinct_token_once():
 def test_clean_drops_empty_sentences():
     corpus = Corpus("en", (("the", "a", "an"), ("cat",)))
     cleaned = clean_tokens(corpus, stopwords={"the", "a", "an"},
-                           stemmer=identity_stem)
+                           stemmer=lambda w: w)
     assert cleaned.sentences == (("cat",),)
 
 
 def test_clean_unicode_letters_survive():
     corpus = Corpus("ru", (("слово", "straße", "x1"),))
-    cleaned = clean_tokens(corpus, stopwords=set(), stemmer=identity_stem)
+    cleaned = clean_tokens(corpus, stopwords=set(), stemmer=lambda w: w)
     assert cleaned.sentences == (("слово", "straße"),)
 
 
