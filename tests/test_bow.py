@@ -254,6 +254,7 @@ def test_paper_scale_build_peaks_near_its_matrix():
                                            p=p / p.sum())]
     sentences = tuple(tuple(tokens[i:i + 15])
                       for i in range(0, len(tokens), 15))
+    # one sentence of every word, so that k=10000 contexts exist
     corpus = Corpus("en", sentences + (tuple(words),))
     vocab = build_vocabulary(corpus)
     tracemalloc.start()
