@@ -48,7 +48,7 @@ from .stats import (
     quintile_overlaps,
     welch_t_test,
 )
-from .textfile import check_cells, read_rows, write_lines
+from .textfile import check_cells, numeric, read_rows, write_lines
 
 ANNOTATORS_PER_BATCH = 13
 DEFAULT_SUBSET_SIZE = 6
@@ -458,11 +458,8 @@ def load_evaluation_set(path, language: str | None = None) -> EvaluationSet:
                 path=path, line=lineno,
             )
         cells = fields[4:]
-        numbers = fields[0] + "".join(cells)
         try:
-            # int and float also read "1_0" and non-ASCII digits
-            if "_" in numbers or not numbers.isascii():
-                raise ValueError(numbers)
+            numeric(fields[0] + "".join(cells))
             index = int(fields[0])
             row = [float(v) if v != "" else np.nan for v in cells]
         except ValueError:

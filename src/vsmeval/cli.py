@@ -81,12 +81,14 @@ def _fmt(x) -> str:
 
 
 def _parse_tagged(value: str) -> tuple[str, str]:
-    """'lang=path' -> (lang, path)."""
-    if "=" not in value:
-        raise ArgumentError(
-            f"expected LANG=PATH, got {value!r}"
-        )
-    lang, path = value.split("=", 1)
+    """'lang=path' -> (lang, path); a language code is one word, as
+    every file that records one needs."""
+    lang, sep, path = value.partition("=")
+    if not sep:
+        raise ArgumentError(f"expected LANG=PATH, got {value!r}")
+    if lang.split() != [lang]:
+        raise ArgumentError(f"language code {lang!r} is empty or contains "
+                            "whitespace")
     return lang, path
 
 

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .scoring import ScoreVector, WordPairList, align_scores, score_pairs
 from .stats import spearman
-from .textfile import check_cells, read_lines, read_rows, write_lines
+from .textfile import check_cells, numeric, read_lines, read_rows, write_lines
 from .vectors import VectorTable
 
 
@@ -346,8 +346,8 @@ def load_cca_model(path) -> CcaModel:
     if len(header) not in (6, 7) or header[6:] not in ([], ["1"]):
         raise FormatError("bad CCA model header", path=path, line=lineno)
     try:
-        d1, d2, m = int(header[2]), int(header[3]), int(header[4])
-        eps = float(header[5])
+        d1, d2, m = (int(numeric(field)) for field in header[2:5])
+        eps = float(numeric(header[5]))
     except ValueError:
         raise FormatError("non-numeric CCA model header field",
                           path=path, line=lineno)
@@ -365,7 +365,7 @@ def load_cca_model(path) -> CcaModel:
             raise FormatError(f"expected {width} values, got {len(fields)}",
                               path=path, line=lineno)
         try:
-            row = np.array(fields, dtype=float)
+            row = np.array([numeric(f) for f in fields], dtype=float)
         except ValueError:
             raise FormatError("non-numeric value", path=path, line=lineno)
         if not np.all(np.isfinite(row)):

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ArgumentError, EmptyInputError
 from .stemming import porter_stem
 from .stopwords import ENGLISH_STOPWORDS
-from .textfile import read_lines, read_text, write_lines
+from .textfile import read_lines, write_lines
 
 _SENTENCE_BREAK = re.compile(r"[.!?]+|\n+")
 
@@ -54,7 +54,7 @@ def tokenize_corpus(
         segments = _SENTENCE_BREAK.split(raw_text)
     sentences = []
     for seg in segments:
-        tokens = tuple(tok.lower() for tok in seg.split())
+        tokens = tuple(seg.lower().split())  # lower() makes no whitespace
         if tokens:
             sentences.append(tokens)
     return Corpus(language=language, sentences=tuple(sentences))
@@ -118,8 +118,8 @@ def sample_corpus(corpus: Corpus, fraction: float, seed: int) -> Corpus:
 
 
 def read_corpus(path, language: str, sentence_per_line: bool = True) -> Corpus:
-    return tokenize_corpus(read_text(path), language,
-                           sentence_per_line=sentence_per_line)
+    return tokenize_corpus("\n".join(line for _, line in read_lines(path)),
+                           language, sentence_per_line=sentence_per_line)
 
 
 def write_corpus(corpus: Corpus, path) -> None:

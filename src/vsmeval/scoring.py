@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, FormatError, WordLookupError
-from .textfile import read_lines, read_rows, write_lines
+from .textfile import numeric, read_lines, read_rows, write_lines
 from .vectors import VectorTable
 
 
@@ -141,7 +141,7 @@ def read_pair_list(path) -> WordPairList:
             raise FormatError("expected pair_index, word1, word2",
                               path=path, line=lineno)
         try:
-            index = int(fields[0])
+            index = int(numeric(fields[0]))
         except ValueError:
             raise FormatError("non-integer pair index", path=path, line=lineno)
         record_pair_index(ids, index, path, lineno)
@@ -166,13 +166,15 @@ def write_scores(scores: ScoreVector, pairs: WordPairList, path,
 
 
 def read_scores(path) -> ScoreVector:
-    """Inverse of ``write_scores``; no pair index, ``#OOV`` or not, repeats."""
+    """Inverse of ``write_scores``; no pair index, ``#OOV`` or not, repeats.
+    ``#`` comments and a header row before the first pair are skipped."""
     scores: dict[int, float] = {}
     skipped: dict[int, tuple[str, ...]] = {}
     first_line: dict[int, int] = {}
     for lineno, line in read_lines(path):
         oov = line.startswith("#OOV\t")
-        if not oov and line.startswith(("#", "pair_index")):
+        if not oov and (line.startswith("#") or (
+                not first_line and line.startswith("pair_index"))):
             continue
         fields = line.split("\t")
         width = 5 if oov else 4
@@ -180,8 +182,8 @@ def read_scores(path) -> ScoreVector:
             raise FormatError(f"expected {width} columns",
                               path=path, line=lineno)
         try:
-            index = int(fields[1] if oov else fields[0])
-            score = None if oov else float(fields[3])
+            index = int(numeric(fields[1] if oov else fields[0]))
+            score = None if oov else float(numeric(fields[3]))
         except ValueError:
             raise FormatError("non-numeric pair index or score",
                               path=path, line=lineno)

@@ -1,12 +1,12 @@
 """The one reader and the one writer of vsmeval text files.
 
 Every format is UTF-8. ``read_lines`` streams the non-blank lines of a
-file with their physical line numbers, and ``read_text`` returns a whole
-file; both raise a ``FormatError`` naming path:line on bytes that are not
-UTF-8. ``read_rows`` gives the cells of the TSV lines that are not ``#``
-comments (score files, whose ``#OOV`` lines are data, use ``read_lines``).
-``write_lines`` writes every format; ``check_cells`` refuses a TSV cell
-holding a tab or a line break.
+file with their physical line numbers and raises a ``FormatError`` naming
+path:line on bytes that are not UTF-8. ``read_rows`` gives the cells of
+the TSV lines that are not ``#`` comments (score files, whose ``#OOV``
+lines are data, use ``read_lines``). ``numeric`` is the one rule for the
+text of a number. ``write_lines`` writes every format; ``check_cells``
+refuses a TSV cell holding a tab or a line break.
 """
 
 import re
@@ -45,16 +45,12 @@ def write_lines(path, lines, comments=()) -> None:
             fh.write(line + "\n")
 
 
-def read_text(path) -> str:
-    """The whole file, line breaks as they are."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise FormatError(f"malformed UTF-8 at byte offset {exc.start}",
-                          path=path, line=line) from None
+def numeric(text: str) -> str:
+    """``text``, or ValueError if it holds ``_`` or a non-ASCII character,
+    which ``int`` and ``float`` read: ``1_0`` as 10, ``\u0661`` as 1."""
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return text
 
 
 def check_cells(cells, path) -> None:

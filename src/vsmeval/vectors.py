@@ -32,7 +32,7 @@ from .errors import (
     EmptyInputError,
     FormatError,
 )
-from .textfile import read_lines, write_lines
+from .textfile import numeric, read_lines, write_lines
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def load_vectors(path, language: str = "und") -> VectorTable:
         raise FormatError("expected header '<vocab_size> <dimension>'",
                           path=path, line=lineno)
     try:
-        vocab_size, dimension = int(parts[0]), int(parts[1])
+        vocab_size, dimension = (int(numeric(part)) for part in parts)
     except ValueError:
         raise FormatError("non-integer header fields", path=path, line=lineno)
     if vocab_size < 0 or dimension < 0:
@@ -144,13 +144,10 @@ def load_vectors(path, language: str = "und") -> VectorTable:
                     f"expected {dimension + 1} fields, got {len(fields)}",
                     path=path, line=lineno,
                 )
-            word, numbers = fields[0], "".join(fields[1:])
+            word, numbers = fields[0], fields[1:]
             try:
-                # float also reads "1_0" and non-ASCII digits
-                if "_" in numbers or not numbers.isascii():
-                    raise ValueError(numbers)
-                vec = np.fromiter(map(float, fields[1:]), float,
-                                  count=dimension)
+                numeric("".join(numbers))
+                vec = np.fromiter(map(float, numbers), float, count=dimension)
             except ValueError:
                 raise FormatError("unparseable float", path=path, line=lineno)
             if not np.all(np.isfinite(vec)):
@@ -182,8 +179,8 @@ def load_vectors(path, language: str = "und") -> VectorTable:
     return VectorTable(language, tuple(index), matrix)
 
 
-# printable ASCII, space included; ``float`` also reads ``_`` as a digit
-# separator, which no other reader takes
+# printable ASCII, space included, without ``_``: ``textfile.numeric``'s
+# rule on the bytes of a line's cells
 _PRINTABLE = bytes(range(0x20, 0x7F)).replace(b"_", b"")
 _SPACE, _MINUS, _ZERO, _POINT = b" -0."  # as byte values
 

@@ -187,7 +187,10 @@ def load_vectors_linewise(path, language: str) -> VectorTable:
     if len(parts) != 2:
         raise FormatError("expected header '<vocab_size> <dimension>'",
                           path=path, line=lineno)
+    numbers = "".join(parts)
     try:
+        if "_" in numbers or not numbers.isascii():
+            raise ValueError(numbers)
         vocab_size, dimension = int(parts[0]), int(parts[1])
     except ValueError:
         raise FormatError("non-integer header fields", path=path, line=lineno)

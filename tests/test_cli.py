@@ -915,3 +915,118 @@ def test_cli_on_any_numeric_argument_exits_0_2_3_or_4(workspace, command,
         capsys.readouterr()
 
     check()
+
+
+@pytest.mark.parametrize("lang", ["e n", ""])
+@pytest.mark.parametrize("command", ["agree-within", "agree-cross",
+                                     "quintiles-within", "quintiles-cross",
+                                     "quintiles-model-human", "combine-cca",
+                                     "coverage"])
+def test_language_code_with_whitespace_exit_2_before_any_read(
+        workspace, capsys, command, lang):
+    # a code a written file could not give back: no input is read and no
+    # output is written
+    _add_score_files(workspace)
+    argv, _ = _fuzz_cases(workspace)[command]
+    argv = [lang + arg[2:] if arg.startswith("en=") else arg for arg in argv]
+    out, model = workspace / "out.txt", workspace / "model.txt"
+    assert main([*argv, "--out", str(out), "--model-out", str(model)]
+                if command == "combine-cca" else
+                [*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: language code {lang!r} is empty or contains whitespace\n")
+    assert not out.exists() and not model.exists()
+
+
+def _replace_first_cell(path, line, value):
+    """Set the first tab-separated cell of physical line ``line``."""
+    lines = path.read_text().splitlines()
+    lines[line - 1] = "\t".join([value, *lines[line - 1].split("\t")[1:]])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _write_number(ws, place, cell):
+    """Write ``cell`` where ``place`` reads a number. Returns the call
+    (argv without --out, or a loader), the file and line that hold the
+    cell, and the refusal."""
+    ev, s1, model = ws / "evalset.tsv", ws / "s1.tsv", ws / "model.txt"
+    if place in ("score-pairs", "build-bow-targets"):
+        _replace_first_cell(ev, 3, cell)  # pair 1
+        argv = (_fuzz_cases(ws)["score"][0] if place == "score-pairs" else
+                ["build-bow", "--corpus", str(ws / "corpus.txt"),
+                 "--targets", str(ev), "--k", "10"])
+        return argv, ev, 3, "non-integer pair index"
+    if place == "score-vectors-header":
+        v = ws / "v.txt"
+        body = (ws / "vectors.txt").read_text().splitlines(True)
+        v.write_text(f"{cell} 4\n" + "".join(body[1:1 + int(cell)]))
+        return (["score", "--vectors", str(v), "--pairs", str(ev)], v, 1,
+                "non-integer header fields")
+    if place == "cca-model-header":
+        model.write_text(f"en de 1 1 1 {cell} 1\n" + _CCA_ROWS)
+        return load_cca_model, model, 1, "non-numeric CCA model header field"
+    if place == "cca-model-value":
+        model.write_text(f"en de 1 1 1 1e-08 1\n0.0\n0.0\n{cell}\n1.0\n1.0\n")
+        return load_cca_model, model, 4, "non-numeric value"
+    # line 4 of a score file, after its manifest and header, holds pair 1
+    command, _, field = place.rpartition("-")
+    (_replace_first_cell if field == "index" else _replace_last_cell)(
+        s1, 4, cell)
+    return (_fuzz_cases(ws)[command][0], s1, 4,
+            "non-numeric pair index or score")
+
+
+# int and float read "1_0" as 10 and "\u0661" (Arabic-Indic one) as 1, so
+# each file below loads whole if the cell is read as a number
+@pytest.mark.parametrize("cell", ["1_0", "\u0661"])
+@pytest.mark.parametrize("place", [
+    "score-pairs", "build-bow-targets", "score-vectors-header",
+    "combine-li-index", "combine-li-score", "quintiles-model-human-index",
+    "quintiles-model-human-score", "cca-model-header", "cca-model-value"])
+def test_number_with_underscore_or_non_ascii_digit_exit_3_with_line(
+        workspace, capsys, place, cell):
+    _add_score_files(workspace)
+    call, path, line, message = _write_number(workspace, place, cell)
+    if callable(call):
+        with pytest.raises(FormatError) as info:
+            call(path)
+        assert str(info.value) == f"{message} [{path}:{line}]"
+        return
+    out = workspace / "out.tsv"
+    assert main([*call, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message} [{path}:{line}]\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--document-mode"]])
+def test_build_bow_reads_a_crlf_corpus_as_its_lf_copy(workspace, extra):
+    lf, crlf = workspace / "corpus.txt", workspace / "crlf.txt"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    for corpus in (lf, crlf):
+        assert main(["build-bow", "--corpus", str(corpus), "--targets",
+                     str(workspace / "targets.txt"), "--k", "10",
+                     "--out", f"{corpus}.vec", *extra]) == 0
+    assert (Path(f"{crlf}.vec").read_bytes()
+            == Path(f"{lf}.vec").read_bytes())
+
+
+@pytest.mark.parametrize("command", ["build-bow", "sample", "baseline"])
+def test_undecodable_corpus_exit_3_with_line(workspace, capsys, command):
+    corpus = workspace / "corpus.txt"
+    lines = corpus.read_bytes().split(b"\n")
+    lines[2] += b"\xff"
+    corpus.write_bytes(b"\n".join(lines))
+    out = workspace / "out.txt"
+    argv = {
+        "build-bow": ["build-bow", "--corpus", str(corpus), "--targets",
+                      str(workspace / "targets.txt"), "--k", "10"],
+        "sample": ["sample", "--corpus", str(corpus), "--fraction", "0.5",
+                   "--seed", "1"],
+        "baseline": ["baseline", "--corpus", str(corpus), "--evalset",
+                     str(workspace / "evalset.tsv"), "--k", "10",
+                     "--seed", "1"],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert (capsys.readouterr().err
+            == f"error: malformed UTF-8 [{corpus}:3]\n")
+    assert not out.exists()

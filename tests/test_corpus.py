@@ -12,7 +12,7 @@ from vsmeval.corpus import (
     tokenize_corpus,
     write_corpus,
 )
-from vsmeval.errors import ArgumentError, EmptyInputError, FormatError
+from vsmeval.errors import ArgumentError, EmptyInputError
 from vsmeval.stemming import porter_stem
 
 
@@ -42,12 +42,16 @@ def test_tokenize_sentence_per_line_mode():
     assert corpus.sentences[0] == ("no", "split", "here.", "really")
 
 
-def test_tokenize_bad_utf8_names_offset(tmp_path):
+@pytest.mark.parametrize("sentence_per_line", [True, False])
+def test_read_corpus_ends_a_line_at_a_lone_carriage_return(
+        tmp_path, sentence_per_line):
+    # as every other format does; the line breaks are \n, \r\n and \r
     path = tmp_path / "corpus.txt"
-    path.write_bytes(b"abcd\xff\xfe")
-    with pytest.raises(FormatError, match="byte offset 4") as info:
-        read_corpus(path, "en")
-    assert f"[{path}:1]" in str(info.value)
+    path.write_text("A b\rc d\r\ne\n\rf\u2028g", encoding="utf-8",
+                    newline="")  # U+2028 is a space within a line
+    corpus = read_corpus(path, "en", sentence_per_line=sentence_per_line)
+    assert corpus.sentences == (("a", "b"), ("c", "d"), ("e",),
+                                ("f", "g"))
 
 
 def test_clean_drops_stopwords_and_nonalpha():

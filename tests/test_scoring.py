@@ -182,3 +182,15 @@ def test_read_scores_refuses_a_repeated_pair_index(tmp_path, second):
         read_scores(path)
     assert str(info.value) == \
         f"repeated pair index 1, first on line 2 [{path}:3]"
+
+
+def test_read_scores_refuses_a_header_after_the_first_pair(tmp_path):
+    # as read_pair_list does; only a header before the first pair is skipped
+    path = tmp_path / "scores.tsv"
+    header = "pair_index\tword1\tword2\tscore\n"
+    path.write_text(f"# note\n{header}0\tcat\tdog\t0.5\n{header}"
+                    "#OOV\t1\tcat\tgatto\tgatto\n")
+    with pytest.raises(FormatError) as info:
+        read_scores(path)
+    assert str(info.value) == \
+        f"non-numeric pair index or score [{path}:4]"

@@ -12,7 +12,7 @@ from vsmeval.combine import load_cca_model, load_lexicon
 from vsmeval.corpus import read_corpus, read_wordlist
 from vsmeval.errors import FormatError, VsmevalError
 from vsmeval.scoring import read_pair_list, read_scores
-from vsmeval.textfile import read_lines, read_text, write_lines
+from vsmeval.textfile import read_lines, write_lines
 from vsmeval.vectors import load_vectors
 
 from conftest import damaged
@@ -44,12 +44,6 @@ def test_read_lines_numbers_physical_lines_and_skips_blank(tmp_path):
     path.write_bytes(b"a b\r\n \t\r\n\nc\rd\n\xd0\x96 ")
     assert list(read_lines(path)) == [(1, "a b"), (4, "c"), (5, "d"),
                                       (6, "Ж ")]
-
-
-def test_read_text_keeps_line_breaks(tmp_path):
-    path = tmp_path / "f.txt"
-    path.write_bytes(b"a\r\nb\rc\n")
-    assert read_text(path) == "a\r\nb\rc\n"
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
@@ -120,22 +114,30 @@ def test_write_lines_reads_back_comments_then_non_blank_lines(
         (n, line) for n, line in enumerate(written, start=1) if line.strip()]
 
 
-def _opens_for_writing(path):
-    """Line numbers of the ``open(...)`` calls in ``path`` whose mode is
-    not a constant that only reads."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if not (isinstance(node, ast.Call)
-                and getattr(node.func, "id", None) == "open"):
-            continue
-        modes = node.args[1:2] + [k.value for k in node.keywords
-                                  if k.arg == "mode"]
-        if any(not isinstance(m, ast.Constant) or set(m.value) & set("wax+")
-               for m in modes):
-            yield node.lineno
+def _opens(path):
+    """``(function, mode)`` of each ``open(...)`` call in ``path``: the
+    innermost function that makes it (None at module level) and its mode,
+    ``"r"`` if none is given and None if it is not a constant."""
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and getattr(child.func, "id", None) == "open"):
+                modes = child.args[1:2] + [k.value for k in child.keywords
+                                           if k.arg == "mode"]
+                yield function, next(
+                    (getattr(m, "value", None) for m in modes), "r")
+            yield from visit(child, function)
+
+    return sorted(visit(ast.parse(path.read_text(encoding="utf-8")), None),
+                  key=repr)
 
 
-def test_only_textfile_opens_a_file_for_writing():
+def test_only_textfile_opens_a_file():
+    # but for the SHA-256 of an input, which reads its bytes
     package = Path(vsmeval.__file__).parent
-    writers = {p.name: lines for p in sorted(package.glob("*.py"))
-               if (lines := list(_opens_for_writing(p)))}
-    assert list(writers) == ["textfile.py"], writers
+    opens = {p.name: calls for p in sorted(package.glob("*.py"))
+             if p.name != "textfile.py" and (calls := _opens(p))}
+    assert opens == {"manifest.py": [("file_digest", "rb")]}

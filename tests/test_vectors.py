@@ -260,6 +260,9 @@ _EDITS = {
     # more than any memory holds: neither may reach an allocation
     "huge-word-count": _nth(r"\A[0-9]+", "1" + "0" * 20),
     "huge-dimension": _nth(r"\A([0-9]+) [0-9]+", r"\1 1" + "0" * 20),
+    # int reads these as 10 and 1
+    **{f"word-count={count!r}": _nth(r"\A[0-9]+", count)
+       for count in ["1_0", "\u0661"]},
 }
 
 
