@@ -12,7 +12,12 @@ once, then maps one function over the batches on a thread pool made for
 the call, one worker per CPU the process may use, and returns the
 results in batch order. Each call gets, set by set, the pairs x subsets
 matrix of subset means and, where a within report or within-mode
-quintiles need it, of complement means. ``_agreement_reports`` ranks
+quintiles need it, of complement means. A set whose judgments are all
+integers gets the subset and complement sums instead, as int16: on the
+0-10 scale they are exact integers of at most 120, and dividing by the
+subset size keeps their order and ties, so every rank, rho and quintile
+F is the same, while both kernels take their integer paths (a counting
+rank and a radix sort). ``_agreement_reports`` ranks
 each set's subset means once per batch and builds the within reports
 and the cross report of every pair of sets from those ranks;
 ``within_language_agreement``, ``cross_language_agreement`` and
@@ -250,22 +255,31 @@ def _split_means(sets: list[EvaluationSet], K: int, complement: bool,
     """``per_batch`` of each batch, in batch order, after checking the
     sets. ``per_batch`` gets a generator over ``sets`` of (subset means,
     complement means or None), each a pairs x subsets matrix; a set's
-    means are built only when ``per_batch`` reaches it. Batches run on a pool
-    of ``_worker_count`` threads that is shut down before returning, and
-    an exception in a batch reaches the caller after the batches not yet
-    started are cancelled. Complement means average the complement's own
-    columns, so a complement of constant annotators is exactly constant.
+    means are built only when ``per_batch`` reaches it; for a set whose
+    judgments are all integers they are the int16 sums. Batches run on a
+    pool of ``_worker_count`` threads that is shut down before returning,
+    and an exception in a batch reaches the caller after the batches not
+    yet started are cancelled. Complement means average the complement's
+    own columns, so a complement of constant annotators is exactly
+    constant.
     """
     _check_sets(sets)
     member = _subset_membership(ANNOTATORS_PER_BATCH, K)
     rest = 1.0 - member
+    # integer judgments in [0, 10] give exact integer sums of at most
+    # 120, which order and tie as the means do
+    integral = [np.array_equal(s.scores, np.rint(s.scores)) for s in sets]
+
+    def split(scores, exact):
+        def means(subsets, size):
+            sums = scores @ subsets.T
+            return sums.astype(np.int16) if exact else sums / size
+        return (means(member, K),
+                means(rest, ANNOTATORS_PER_BATCH - K) if complement else None)
 
     def batch_means(b):
-        return per_batch(
-            (scores @ member.T / K,
-             scores @ rest.T / (ANNOTATORS_PER_BATCH - K)
-             if complement else None)
-            for scores in (s.batch_matrix(b) for s in sets))
+        return per_batch(split(s.batch_matrix(b), exact)
+                         for s, exact in zip(sets, integral))
 
     n = len(sets[0].batches)
     pool = ThreadPoolExecutor(_worker_count(n))

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, FormatError, WordLookupError
-from .textfile import numeric, read_lines, read_rows, write_lines
+from .textfile import check_cells, numeric, read_lines, read_rows, \
+    write_lines
 from .vectors import VectorTable
 
 
@@ -152,14 +153,20 @@ def read_pair_list(path) -> WordPairList:
 def write_scores(scores: ScoreVector, pairs: WordPairList, path,
                  header_lines=()) -> None:
     """TSV dump ``pair_index word1 word2 score``; skipped pairs appear as
-    trailing ``#OOV`` comment lines."""
+    trailing ``#OOV`` comment lines. A non-finite score and a word holding
+    a tab or a line break, which ``read_scores`` refuses, are refused
+    before the file is opened."""
     word_of = dict(zip(pairs.source_ids, pairs.pairs))
     lines = ["pair_index\tword1\tword2\tscore"]
     for idx in sorted(scores.scores):
         w1, w2 = word_of.get(idx, ("?", "?"))
+        check_cells((w1, w2), path)
+        if not math.isfinite(scores.scores[idx]):
+            raise FormatError(f"non-finite score for pair {idx}", path=path)
         lines.append(f"{idx}\t{w1}\t{w2}\t{scores.scores[idx]!r}")
     for idx in sorted(scores.skipped):
         w1, w2 = word_of.get(idx, ("?", "?"))
+        check_cells((w1, w2, *scores.skipped[idx]), path)
         missing = ",".join(scores.skipped[idx])
         lines.append(f"#OOV\t{idx}\t{w1}\t{w2}\t{missing}")
     write_lines(path, lines, header_lines)

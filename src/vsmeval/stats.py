@@ -5,13 +5,16 @@ the two kernels every rank statistic of the toolkit goes through.
 Spearman is computed as Pearson over average ranks, which is exact under
 ties (human 0-10 scores tie heavily); the 1 - 6*sum(d^2)/... shortcut is
 not used because it is invalid under ties. ``column_ranks`` ranks the
-columns of a matrix, 256 at a time, with one row-wise argsort over the
-transposed block, one flat pass over the tie groups and one scatter back.
-Average ranks are half-integers, so it equals
-``scipy.stats.rankdata(axis=0)`` bit for bit, and every sum of centred
-ranks is exact, whatever its order. ``quintile_overlaps`` gives, column
-by column, the share of each rank block that two score matrices put in
-the same block.
+columns of a matrix 256 at a time. Float columns get one row-wise
+argsort over the transposed block, one flat pass over the tie groups and
+one scatter back. Integer columns spanning fewer than 1024 values, such
+as the exact subset sums of the agreement walk, are counted instead: one
+``bincount`` and one ``cumsum`` over (column, value) keys give a table
+of ranks that is gathered back. Average ranks are half-integers, so both
+equal ``scipy.stats.rankdata(axis=0)`` bit for bit, and every sum of
+centred ranks is exact, whatever its order. ``quintile_overlaps`` gives,
+column by column, the share of each rank block that two score matrices
+put in the same block; on integer input its stable sort is a radix sort.
 """
 
 from __future__ import annotations
@@ -29,6 +32,11 @@ from .errors import ArgumentError, ConstantInputError, DegenerateError, \
 # whole 50 x 1716 matrix is mapped afresh on every call, and its page
 # faults cost about as much as the ranking itself.
 _RANK_BLOCK = 256
+
+# Levels an integer matrix may span for ``column_ranks`` to count rather
+# than sort. A block's rank table then holds at most 256 x 1024 floats
+# (2 MiB); the K-subset sums of the agreement protocol span at most 121.
+_COUNT_LEVELS = 1024
 
 # Positions Kendall's tau-b compares per block against every later
 # position: its temporaries are then 256 x n, not n x n.
@@ -56,13 +64,42 @@ def _paired(x, y):
 
 def column_ranks(x: np.ndarray) -> np.ndarray:
     """Average ranks (1-based, ties share the mean of their positions) of
-    every column of an n x m matrix, equal to ``rankdata(x, axis=0)``."""
+    every column of an n x m matrix, equal to ``rankdata(x, axis=0)``.
+    Integer input spanning fewer than ``_COUNT_LEVELS`` values is counted
+    (``_count_ranks``), any other input sorted."""
     n, m = x.shape
+    if np.can_cast(x.dtype, np.intp) and x.size:
+        low = int(x.min())
+        if int(x.max()) - low < _COUNT_LEVELS:
+            return _count_ranks(x, low)
     ranks = np.empty((m, n))
     for lo in range(0, m, _RANK_BLOCK):
         rows = np.ascontiguousarray(x[:, lo:lo + _RANK_BLOCK].T)
         _rank_rows(rows, out=ranks[lo:lo + _RANK_BLOCK])
     return ranks.T
+
+
+def _count_ranks(x: np.ndarray, low: int) -> np.ndarray:
+    """Average ranks of every column of an integer matrix whose values
+    are at least ``low``, counted rather than sorted. A block gets one
+    key per cell, its level ``value - low`` plus its column times the
+    block's number of levels, and one ``bincount`` and one flat
+    ``cumsum`` over the keys. A key's rank is then
+    ``(2 * cum - count + 1) / 2`` less the n values of each earlier
+    column of the block: half-integers, so exact. The table holds one
+    entry per column and level up to the block's largest level."""
+    n, m = x.shape
+    ranks = np.empty((n, m))
+    for lo in range(0, m, _RANK_BLOCK):
+        block = x[:, lo:lo + _RANK_BLOCK]
+        w = block.shape[1]
+        levels = int(block.max()) - low + 1
+        keys = block + (np.arange(0, w * levels, levels) - low)
+        count = np.bincount(keys.ravel(), minlength=w * levels)
+        table = ((2 * count.cumsum() - count + 1) / 2).reshape(w, levels)
+        table -= np.arange(0, w * n, n)[:, None]
+        np.take(table, keys, out=ranks[:, lo:lo + _RANK_BLOCK])
+    return ranks
 
 
 def _rank_rows(rows: np.ndarray, out: np.ndarray) -> None:

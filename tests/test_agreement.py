@@ -33,7 +33,7 @@ from vsmeval.errors import (
     ValidationError,
 )
 from vsmeval.scoring import WordPairList
-from vsmeval.stats import column_ranks, spearman
+from vsmeval.stats import column_ranks, quintile_overlaps, spearman
 
 from conftest import LINE_READER_CHARACTERS, make_evalset, synthetic_languages
 from oracles import spearman_bruteforce
@@ -198,6 +198,28 @@ class TestWithinAgreement:
         assert np.allclose(np.sort(report.samples), np.sort(expected),
                            atol=1e-10)
         assert report.mean == pytest.approx(np.mean(expected), abs=1e-10)
+
+    def test_integer_judgments_match_loop_oracle(self, rng):
+        # whole-point judgments take the walk on integer subset sums
+        scores = rng.integers(0, 11, size=(2, 20, 13)).astype(float)
+        en, de = (make_evalset(s, language=lang, batch_size=10)
+                  for s, lang in zip(scores, ("en", "de")))
+        within = within_language_agreement(en)
+        cross = cross_language_agreement(en, de)
+        expected_within, expected_cross = [], []
+        for batch in en.batches:
+            block, other = (s[list(batch)] for s in scores)
+            for subset in enumerate_subsets(13, 6):
+                comp = [j for j in range(13) if j not in subset]
+                a = block[:, list(subset)].mean(axis=1)
+                b = block[:, comp].mean(axis=1)
+                c = other[:, list(subset)].mean(axis=1)
+                expected_within.append(spearman_bruteforce(list(a), list(b)))
+                expected_cross.append(spearman_bruteforce(list(a), list(c)))
+        for report, expected in ((within, expected_within),
+                                 (cross, expected_cross)):
+            assert report.degenerate_count == 0
+            assert np.allclose(report.samples, expected, atol=1e-10)
 
     def test_pair_reordering_invariance(self, rng):
         scores = rng.uniform(0, 10, size=(30, 13))
@@ -406,18 +428,20 @@ class TestParallelWalk:
     thread behind."""
 
     @staticmethod
-    def _sets():
-        # 7 batches, the last of 49 pairs; half-point scores tie, and
-        # constant annotators give degenerate samples in en (every batch)
-        # and de (batch 3 only)
+    def _sets(integral=False):
+        # 7 batches, the last of 49 pairs; half-point scores tie, whole
+        # points tie more and take the walk on integer sums, and constant
+        # annotators give degenerate samples in en (every batch) and de
+        # (batch 3 only)
         rng = np.random.default_rng(31)
         sets = []
         for lang in ("en", "de", "it", "ru"):
-            scores = np.rint(rng.uniform(0, 10, size=(349, 13)) * 2) / 2
+            scores = rng.uniform(0, 10, size=(349, 13))
+            scores = np.rint(scores) if integral else np.rint(scores * 2) / 2
             if lang == "en":
                 scores[:, :7] = 5.0
             if lang == "de":
-                scores[150:200, :7] = 2.5
+                scores[150:200, :7] = 2.0 if integral else 2.5
             sets.append(make_evalset(scores, language=lang))
         assert len(sets[0].batches) == 7 and len(sets[0].batches[-1]) == 49
         return sets
@@ -441,7 +465,13 @@ class TestParallelWalk:
         return within + cross, repr(sorted(driver.items())), quintiles
 
     def test_worker_count_changes_no_bit(self, monkeypatch):
-        sets = self._sets()
+        self._check_worker_counts(monkeypatch, self._sets())
+
+    def test_worker_count_changes_no_bit_on_integer_judgments(
+            self, monkeypatch):
+        self._check_worker_counts(monkeypatch, self._sets(integral=True))
+
+    def _check_worker_counts(self, monkeypatch, sets):
         runs = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(agreement, "_worker_count",
@@ -470,6 +500,93 @@ class TestParallelWalk:
         assert agreement._worker_count(0) == 1
         assert agreement._worker_count(1) == 1
         assert agreement._worker_count(10**6) == cpus
+
+
+class TestIntegerJudgments:
+    """A set whose judgments are all integers is walked on exact int16
+    subset sums; every sample, degenerate count and quintile F equals the
+    walk on float means."""
+
+    @staticmethod
+    def _sets(rng):
+        # 60 pairs in batches of 50 and 10; annotator 0 of en is constant,
+        # so K = 1 subsets and K = 12 complements of it are degenerate
+        scores = rng.integers(0, 11, size=(2, 60, 13)).astype(float)
+        scores[0, :, 0] = 4.0
+        return [make_evalset(s, language=lang)
+                for s, lang in zip(scores, ("en", "de"))]
+
+    @staticmethod
+    def _float_reference(sets, K, q=5):
+        """Within and cross samples, degenerate counts and quintile F of
+        the float means, built batch by batch as the walk adds them."""
+        member = agreement._subset_membership(13, K)
+        rhos = {"within": [], "cross": []}
+        f_sums = {"within": 0.0, "cross": 0.0}
+        count = 0
+        for batch in sets[0].batches:
+            (sub, comp), (other, _) = (
+                (s.scores[list(batch)] @ member.T / K,
+                 s.scores[list(batch)] @ (1 - member).T / (13 - K))
+                for s in sets)
+            for mode, b in (("within", comp), ("cross", other)):
+                rhos[mode].append(_ranked_spearman(_centred_ranks(sub),
+                                                   _centred_ranks(b)))
+                f_sums[mode] += quintile_overlaps(sub, b, q).sum(axis=1)
+            count += sub.shape[1]
+        reference = {}
+        for mode in rhos:
+            rho = np.concatenate(rhos[mode])
+            reference[mode] = (rho[~np.isnan(rho)], int(np.isnan(rho).sum()),
+                               tuple((f_sums[mode] / count).tolist()))
+        return reference
+
+    @pytest.mark.parametrize("K", [1, 12])
+    def test_extreme_subset_sizes_equal_float_means(self, rng, K):
+        # K = 1 and K = 12 give the fewest and the most sum levels
+        sets = self._sets(rng)
+        reference = self._float_reference(sets, K)
+        got = {
+            "within": (within_language_agreement(sets[0], K),
+                       quintile_agreement_analysis(sets[0], K=K)),
+            "cross": (cross_language_agreement(*sets, K),
+                      quintile_agreement_analysis(*sets, K=K)),
+        }
+        for mode, (report, quintiles) in got.items():
+            samples, degenerate, f = reference[mode]
+            assert np.array_equal(report.samples, samples)
+            assert report.degenerate_count == degenerate
+            assert quintiles == f
+        # the subset (K = 1) or complement (K = 12) {0}, once per batch
+        assert reference["within"][1] == 2
+
+    def test_kernels_get_int16_sums_only_for_integer_judgments(
+            self, rng, monkeypatch):
+        seen = []
+
+        def spy(kernel):
+            def wrapped(*matrices, **kwargs):
+                seen.extend(m.dtype for m in matrices
+                            if isinstance(m, np.ndarray))
+                return kernel(*matrices, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(agreement, "column_ranks",
+                            spy(agreement.column_ranks))
+        monkeypatch.setattr(agreement, "quintile_overlaps",
+                            spy(agreement.quintile_overlaps))
+        integral, _ = self._sets(rng)
+        scores = integral.scores.copy()
+        scores[3, 4] = 7.5
+        halved = make_evalset(scores, language="de")
+        for evalset, dtype in ((integral, np.int16), (halved, np.float64)):
+            seen.clear()
+            within_language_agreement(evalset)
+            quintile_agreement_analysis(evalset)
+            assert set(seen) == {np.dtype(dtype)}
+        seen.clear()
+        cross_language_agreement(integral, halved)
+        assert set(seen) == {np.dtype(np.int16), np.dtype(np.float64)}
 
 
 _WORDS = st.text(st.sampled_from(LINE_READER_CHARACTERS), max_size=3)

@@ -172,6 +172,32 @@ def test_score_tsv_roundtrip(tmp_path):
     assert again.skipped == scores.skipped
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   -float("inf")])
+def test_write_scores_refuses_a_non_finite_score(tmp_path, value):
+    # read_scores refuses the line, so the file would not read back
+    path = tmp_path / "scores.tsv"
+    with pytest.raises(FormatError) as info:
+        write_scores(ScoreVector({0: 0.5, 1: value}),
+                     _pairlist([("a", "b"), ("c", "d")]), path)
+    assert str(info.value) == f"non-finite score for pair 1 [{path}]"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("word", ["c\td", "c\nd", "c\rd"])
+@pytest.mark.parametrize("skipped", [False, True])
+def test_write_scores_refuses_a_word_with_a_tab_or_line_break(
+        tmp_path, word, skipped):
+    path = tmp_path / "scores.tsv"
+    scores = (ScoreVector({0: 0.5}, skipped={1: (word,)}) if skipped
+              else ScoreVector({0: 0.5, 1: 0.25}))
+    with pytest.raises(FormatError) as info:
+        write_scores(scores, _pairlist([("a", "b"), (word, "e")]), path)
+    assert str(info.value) == \
+        f"cell {word!r} holds a tab or a line break [{path}]"
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("second", ["1\tcat\tdog\t0.7",
                                     "#OOV\t1\tcat\tdog\tdog"])
 def test_read_scores_refuses_a_repeated_pair_index(tmp_path, second):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings, strategies as st
 
 from vsmeval.errors import (
     ArgumentError,
@@ -10,11 +11,14 @@ from vsmeval.errors import (
     DegenerateError,
     ValidationError,
 )
+from vsmeval import stats
 from vsmeval.stats import (
+    column_ranks,
     kendall_tau_b,
     pearson,
     quintile_block_sizes,
     quintile_fscore,
+    quintile_overlaps,
     spearman,
     student_t_sf,
     welch_t_test,
@@ -286,3 +290,57 @@ class TestQuintiles:
         r = rng.normal(size=10)
         with pytest.raises(ArgumentError):
             quintile_fscore(r, r, q=1)
+
+
+def _integer_matrix(seed, n, m, levels, constant_share, span=121, low=0):
+    """An n x m int16 matrix over at most ``levels`` distinct values of
+    ``low`` to ``low + span - 1``, with a share of constant columns."""
+    r = np.random.default_rng(seed)
+    values = low + r.choice(span, size=min(levels, span), replace=False)
+    x = r.choice(values, size=(n, m)).astype(np.int16)
+    constant = r.random(m) < constant_share
+    x[:, constant] = x[0, constant]
+    return x
+
+
+class TestIntegerKeys:
+    """The K-subset walk gives both kernels exact int16 subset sums when
+    every judgment is an integer. On them the kernels give what they give
+    on float input, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 60), m=st.integers(1, 600),
+           levels=st.integers(1, 121), low=st.integers(-121, 121),
+           constant_share=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_counting_ranks_equal_rankdata(self, n, m, levels, low,
+                                           constant_share, seed):
+        x = _integer_matrix(seed, n, m, levels, constant_share, low=low)
+        ranks = column_ranks(x)
+        expected = scipy.stats.rankdata(x.astype(float), axis=0)
+        assert ranks.dtype == expected.dtype == np.float64
+        assert np.array_equal(ranks, expected)
+
+    def test_wide_integer_range_is_sorted(self, rng):
+        # more levels than a counting table may hold: the sort ranks it
+        x = rng.integers(-5, 5, size=(30, 300)) * stats._COUNT_LEVELS
+        assert np.ptp(x) >= stats._COUNT_LEVELS
+        expected = scipy.stats.rankdata(x.astype(float), axis=0)
+        assert np.array_equal(column_ranks(x), expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(7, 60), m=st.integers(1, 600), q=st.integers(2, 7),
+           K=st.integers(1, 12), levels=st.integers(1, 121),
+           constant_share=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    # two levels: ties straddle every block boundary
+    @example(n=50, m=300, q=5, K=6, levels=2, constant_share=0.1, seed=0)
+    def test_quintiles_on_sums_equal_quintiles_on_means(
+            self, n, m, q, K, levels, constant_share, seed):
+        # subset sums of K judgments on 0-10, complement sums of 13 - K
+        sums = [_integer_matrix(seed + side, n, m, levels, constant_share,
+                                span=10 * k + 1)
+                for side, k in enumerate((K, 13 - K))]
+        means = (sums[0] / K, sums[1] / (13 - K))
+        assert np.array_equal(quintile_overlaps(*sums, q),
+                              quintile_overlaps(*means, q))
