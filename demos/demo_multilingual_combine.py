@@ -33,10 +33,8 @@ de_words = [f"de{i}" for i in range(N_WORDS)]
 def noisy_view(base, noise):
     return base + noise * rng.normal(size=base.shape)
 
-t_en = VectorTable.from_dict(
-    "en", dict(zip(en_words, noisy_view(latent, 0.9))), DIM)
-t_de = VectorTable.from_dict(
-    "de", dict(zip(de_words, noisy_view(latent, 0.9))), DIM)
+t_en = VectorTable("en", tuple(en_words), noisy_view(latent, 0.9))
+t_de = VectorTable("de", tuple(de_words), noisy_view(latent, 0.9))
 lexicon = TranslationLexicon(("en", "de"), tuple(zip(en_words, de_words)))
 
 pairs_idx = [(2 * i, 2 * i + 1) for i in range(N_WORDS // 2)]

@@ -125,29 +125,6 @@ class OutlierResult:
     screened: tuple[int, ...]  # the column of each statistic
 
 
-def screen_annotators(
-    responses: dict,
-    similar_min: float = 7.0,
-    dissimilar_max: float = 3.0,
-) -> dict:
-    """Qualification test: responses map annotator -> (similar_score,
-    dissimilar_score). Fail iff the similar pair scored below
-    ``similar_min`` or the dissimilar pair above ``dissimilar_max``
-    (strict inequalities; boundary values pass).
-    """
-    verdicts = {}
-    for annotator, (similar, dissimilar) in responses.items():
-        for v in (similar, dissimilar):
-            if not 0.0 <= v <= 10.0:
-                raise ValidationError(
-                    f"score {v} for annotator {annotator!r} outside [0, 10]"
-                )
-        verdicts[annotator] = not (
-            similar < similar_min or dissimilar > dissimilar_max
-        )
-    return verdicts
-
-
 def detect_outliers(
     batch_scores: np.ndarray, threshold: float = OUTLIER_THRESHOLD
 ) -> OutlierResult:
@@ -205,10 +182,11 @@ def _subset_membership(n: int, k: int) -> np.ndarray:
 
 
 def _centred_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column ranks minus their column mean, and each column's sum of
-    squares; both exact, since the ranks are half-integers."""
+    """Column ranks minus their column mean, (n + 1)/2 (average ranks of
+    n rows sum to n(n + 1)/2), and each column's sum of squares; both
+    exact, since the ranks are half-integers."""
     r = column_ranks(x)
-    r -= r.mean(axis=0)
+    r -= (len(r) + 1) / 2
     return r, np.einsum("ij,ij->j", r, r)
 
 

@@ -39,13 +39,6 @@ class CountMatrix:
     def total(self) -> int:
         return int(self.values.sum())
 
-    @property
-    def counts(self) -> np.ndarray:
-        """The dense |rows| x k int64 matrix, built anew on each read."""
-        dense = np.zeros((len(self.row_words), len(self.col_words)), np.int64)
-        dense[self.rows, self.cols] = self.values
-        return dense
-
 
 def count_cooccurrences(
     corpus: Corpus,

@@ -13,7 +13,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -63,24 +63,21 @@ def tokenize_corpus(
 def clean_tokens(
     corpus: Corpus,
     stopwords: Iterable[str] | None = None,
-    stemmer: Callable[[str], str] | None = None,
 ) -> Corpus:
-    """Drop non-alphabetic tokens and stopwords, stem the survivors, and
-    discard sentences that end up empty.
+    """Drop non-alphabetic tokens and stopwords, stem the survivors with
+    ``porter_stem``, and discard sentences that end up empty.
 
     "Alphabetic" is Unicode letter classification (str.isalpha), so
     Cyrillic and umlauted words survive. Stopword filtering runs before
-    stemming. The stemmer is called once per distinct surviving token, so
-    it must be a pure ``str -> str`` function.
+    stemming. ``porter_stem`` is looked up in this module at each call
+    and called once per distinct surviving token.
     """
     if stopwords is None:
         stopwords = ENGLISH_STOPWORDS
     else:
         stopwords = frozenset(stopwords)
-    if stemmer is None:
-        stemmer = porter_stem
     types = {tok for sent in corpus.sentences for tok in sent}
-    stem_of = {tok: stemmer(tok) for tok in types
+    stem_of = {tok: porter_stem(tok) for tok in types
                if tok.isalpha() and tok not in stopwords}
     sentences = []
     for sent in corpus.sentences:

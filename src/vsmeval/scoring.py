@@ -101,9 +101,8 @@ def score_pairs(
             skipped[idx] = tuple(missing)
             continue
         value = cosine(vecs[0], vecs[1])
-        if value == 0.0 and (
-            np.linalg.norm(vecs[0]) == 0.0 or np.linalg.norm(vecs[1]) == 0.0
-        ):
+        # the norm of a tiny non-zero vector can underflow to 0.0
+        if value == 0.0 and not (vecs[0].any() and vecs[1].any()):
             degenerate.add(idx)
         scores[idx] = value
     return ScoreVector(

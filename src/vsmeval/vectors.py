@@ -53,20 +53,6 @@ class VectorTable:
             raise ArgumentError("a vector table lists a word twice")
         object.__setattr__(self, "_index", index)
 
-    @classmethod
-    def from_dict(cls, language: str, vectors, dimension: int) -> VectorTable:
-        """Table from a word -> vector mapping. As in a dict, a word keeps
-        the position of its first insertion and its last value."""
-        for word, vec in vectors.items():
-            if np.shape(vec) != (dimension,):
-                raise ArgumentError(
-                    f"vector for {word!r} has shape {np.shape(vec)}, "
-                    f"expected ({dimension},)"
-                )
-        matrix = np.array(list(vectors.values()), dtype=float)
-        return cls(language, tuple(vectors),
-                   matrix.reshape(len(vectors), dimension))
-
     @property
     def dimension(self) -> int:
         return self.matrix.shape[1]
@@ -289,18 +275,11 @@ def vocabulary_coverage(tables, eval_sets) -> CoverageReport:
             raise ArgumentError(
                 f"language {t.language!r} names more than one vector table")
         by_language[t.language] = t
-    lengths = {len(s.pairs.pairs) for s in eval_sets}
-    if len(lengths) > 1:
-        raise AlignmentError(
-            f"evaluation sets have differing pair counts: {sorted(lengths)}"
-        )
-    indices = None
-    for s in eval_sets:
-        ids = tuple(s.pairs.source_ids)
-        if indices is None:
-            indices = ids
-        elif ids != indices:
-            raise AlignmentError("evaluation sets have misaligned pair indices")
+    if not eval_sets:
+        raise ArgumentError("no evaluation set to cover")
+    indices = tuple(eval_sets[0].pairs.source_ids)
+    if any(tuple(s.pairs.source_ids) != indices for s in eval_sets):
+        raise AlignmentError("evaluation sets have misaligned pair indices")
     covered, excluded = [], []
     missing: dict[int, list[tuple[str, str]]] = {}
     for pos, idx in enumerate(indices):

@@ -130,11 +130,11 @@ def build_cli_workspace(root):
     save_evaluation_set(evalset, root / "evalset.tsv")
 
     save_vectors(
-        VectorTable.from_dict("en", {w: rng.normal(size=4) for w in words}, 4),
+        VectorTable("en", tuple(words), rng.normal(size=(len(words), 4))),
         root / "vectors.txt",
     )
     save_vectors(
-        VectorTable.from_dict("de", {w: rng.normal(size=4) for w in words}, 4),
+        VectorTable("de", tuple(words), rng.normal(size=(len(words), 4))),
         root / "vectors_de.txt",
     )
     save_lexicon(

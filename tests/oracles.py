@@ -125,6 +125,14 @@ def ppmi_scalar(count, row_sum, col_sum, total):
     return max(0.0, math.log(count * total / (row_sum * col_sum)))
 
 
+def dense_counts(m):
+    """The dense |rows| x k int64 array of a CountMatrix's triplets; the
+    inverse of ``conftest.dense_count_matrix``."""
+    dense = np.zeros((len(m.row_words), len(m.col_words)), np.int64)
+    dense[m.rows, m.cols] = m.values
+    return dense
+
+
 def ppmi_dense_reference(m):
     """entry(w, c) = max(0, ln(n(w,c) * total / (row_sum(w) * col_sum(c)))).
 
@@ -136,7 +144,7 @@ def ppmi_dense_reference(m):
     total = m.total
     if total == 0:
         raise DegenerateError("PPMI of an all-zero count matrix is undefined")
-    counts = m.counts.astype(float)
+    counts = dense_counts(m).astype(float)
     row_sums = counts.sum(axis=1, keepdims=True)
     col_sums = counts.sum(axis=0, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -232,7 +240,9 @@ def load_vectors_linewise(path, language: str) -> VectorTable:
             f"header declares {vocab_size} words but body has {len(vectors)}",
             path=path,
         )
-    return VectorTable.from_dict(language, vectors, dimension)
+    matrix = np.array(list(vectors.values()), dtype=float)
+    return VectorTable(language, tuple(vectors),
+                       matrix.reshape(len(vectors), dimension))
 
 
 _VOWELS = "aeiou"

@@ -37,6 +37,7 @@ from conftest import (build_cli_workspace, dense_count_matrix,
 from oracles import (
     cca_correlations_eigen,
     cooccurrence_bruteforce,
+    dense_counts,
     kendall_tau_b_bruteforce,
     pearson_formula,
     ppmi_scalar,
@@ -128,23 +129,24 @@ def test_ppmi_oracle_equivalence():
         expected = cooccurrence_bruteforce(
             sentences, m.row_words, m.col_words, window
         )
+        counts = dense_counts(m)
         for i, w in enumerate(m.row_words):
             for j, c in enumerate(m.col_words):
-                assert m.counts[i, j] == expected.get((w, c), 0)
+                assert counts[i, j] == expected.get((w, c), 0)
 
         if m.total == 0:
             continue
         table = ppmi_transform(m)
-        row_sums = m.counts.sum(axis=1)
-        col_sums = m.counts.sum(axis=0)
+        row_sums = counts.sum(axis=1)
+        col_sums = counts.sum(axis=0)
         for i, w in enumerate(m.row_words):
             for j in range(len(m.col_words)):
-                want = ppmi_scalar(int(m.counts[i, j]), int(row_sums[i]),
+                want = ppmi_scalar(int(counts[i, j]), int(row_sums[i]),
                                    int(col_sums[j]), m.total)
                 assert abs(table.vectors[w][j] - want) <= 1e-12
 
         scaled = dense_count_matrix(m.row_words, m.col_words,
-                                    m.counts * 7, m.window)
+                                    counts * 7, m.window)
         rescaled = ppmi_transform(scaled)
         for w in m.row_words:
             assert np.allclose(rescaled.vectors[w], table.vectors[w],

@@ -22,7 +22,6 @@ from vsmeval.agreement import (
     load_evaluation_set,
     quintile_agreement_analysis,
     save_evaluation_set,
-    screen_annotators,
     significance_driver,
     within_language_agreement,
 )
@@ -37,24 +36,6 @@ from vsmeval.stats import column_ranks, quintile_overlaps, spearman
 
 from conftest import LINE_READER_CHARACTERS, make_evalset, synthetic_languages
 from oracles import spearman_bruteforce
-
-
-class TestScreening:
-    def test_clear_pass(self):
-        assert screen_annotators({"a": (9, 1)}) == {"a": True}
-
-    def test_similar_below_seven_fails(self):
-        assert screen_annotators({"a": (6.9, 0)}) == {"a": False}
-
-    def test_boundary_values_pass(self):
-        assert screen_annotators({"a": (7, 3)}) == {"a": True}
-
-    def test_dissimilar_above_three_fails(self):
-        assert screen_annotators({"a": (10, 3.1)}) == {"a": False}
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValidationError):
-            screen_annotators({"a": (11, 0)})
 
 
 class TestOutliers:

@@ -111,7 +111,8 @@ def test_eval_perfect_model_rho_one(workspace, capsys):
         angle = np.arccos(np.clip(human.scores[pos] / 10.0, -1, 1))
         vectors[w1] = np.array([1.0, 0.0])
         vectors[w2] = np.array([np.cos(angle), np.sin(angle)])
-    save_vectors(VectorTable.from_dict("en", vectors, 2),
+    save_vectors(VectorTable("en", tuple(vectors),
+                             np.array(list(vectors.values()))),
                  workspace / "perfect.txt")
     out = workspace / "eval.tsv"
     code = main(["eval", "--vectors", str(workspace / "perfect.txt"),
@@ -133,7 +134,8 @@ def test_eval_reversed_model_rho_minus_one(workspace):
         angle = np.arccos(np.clip(1.0 - human.scores[pos] / 10.0, -1, 1))
         vectors[w1] = np.array([1.0, 0.0])
         vectors[w2] = np.array([np.cos(angle), np.sin(angle)])
-    save_vectors(VectorTable.from_dict("en", vectors, 2),
+    save_vectors(VectorTable("en", tuple(vectors),
+                             np.array(list(vectors.values()))),
                  workspace / "reversed.txt")
     out = workspace / "eval.tsv"
     assert main(["eval", "--vectors", str(workspace / "reversed.txt"),
@@ -386,11 +388,9 @@ def test_eval_and_quintiles_after_qc_use_present_judgments(tmp_path,
     # of the cleaned set end in an empty cell
     rng = np.random.default_rng(4)
     words = _planted_qc_set(rng, tmp_path / "raw.tsv")
-    save_vectors(
-        VectorTable.from_dict(
-            "en", {w: rng.normal(size=4) for p in words for w in p}, 4),
-        tmp_path / "vectors.txt",
-    )
+    flat = tuple(w for p in words for w in p)
+    save_vectors(VectorTable("en", flat, rng.normal(size=(len(flat), 4))),
+                 tmp_path / "vectors.txt")
     cleaned = tmp_path / "cleaned.tsv"
     model = tmp_path / "scores.tsv"
     for argv in (

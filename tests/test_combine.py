@@ -137,17 +137,12 @@ class TestCca:
 
 
 def _aligned_tables(rng, n_words=20, d1=6, d2=6):
-    w1 = [f"en{i}" for i in range(n_words)]
-    w2 = [f"de{i}" for i in range(n_words)]
+    w1 = tuple(f"en{i}" for i in range(n_words))
+    w2 = tuple(f"de{i}" for i in range(n_words))
     base = rng.normal(size=(n_words, d1))
-    t1 = VectorTable.from_dict("en", {w: base[i] for i, w in enumerate(w1)},
-                               d1)
-    t2 = VectorTable.from_dict(
-        "de",
-        {w: base[i, :d2] + 0.1 * rng.normal(size=d2)
-         for i, w in enumerate(w2)},
-        d2,
-    )
+    t1 = VectorTable("en", w1, base)
+    t2 = VectorTable("de", w2,
+                     base[:, :d2] + 0.1 * rng.normal(size=(n_words, d2)))
     lexicon = TranslationLexicon(("en", "de"), tuple(zip(w1, w2)))
     return t1, t2, lexicon
 
@@ -183,12 +178,10 @@ class TestProjectConcat:
         assert np.array_equal(table.matrix, np.hstack(halves))
 
     def test_identical_tables_preserve_scores(self, rng):
-        words = [f"w{i}" for i in range(15)]
+        words = tuple(f"w{i}" for i in range(15))
         base = rng.normal(size=(15, 5))
-        t1 = VectorTable.from_dict(
-            "en", {w: base[i] for i, w in enumerate(words)}, 5)
-        t2 = VectorTable.from_dict(
-            "de", {w: base[i] for i, w in enumerate(words)}, 5)
+        t1 = VectorTable("en", words, base.copy())
+        t2 = VectorTable("de", words, base.copy())
         lexicon = TranslationLexicon(("en", "de"),
                                      tuple((w, w) for w in words))
         model = fit_cca_tables(t1, t2, lexicon, eps=1e-12)
@@ -202,10 +195,8 @@ class TestProjectConcat:
 
     def test_missing_word_names_row(self, rng):
         t1, t2, lexicon = _aligned_tables(rng)
-        t1 = VectorTable.from_dict(
-            "en", {w: v for w, v in t1.vectors.items() if w != "en3"},
-            t1.dimension,
-        )
+        kept = tuple(w for w in t1.words if w != "en3")
+        t1 = VectorTable("en", kept, t1.rows(kept))
         model_lexicon = TranslationLexicon(
             ("en", "de"),
             tuple(r for r in lexicon.rows if r[0] != "en3"),

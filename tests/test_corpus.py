@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import vsmeval.corpus
 from vsmeval.corpus import (
     Corpus,
     build_vocabulary,
@@ -54,13 +55,14 @@ def test_read_corpus_ends_a_line_at_a_lone_carriage_return(
                                 ("f", "g"))
 
 
-def test_clean_drops_stopwords_and_nonalpha():
+def test_clean_drops_stopwords_and_nonalpha(monkeypatch):
+    monkeypatch.setattr(vsmeval.corpus, "porter_stem", lambda w: w)
     corpus = Corpus("en", (("the", "cat", "42", "running"),))
-    cleaned = clean_tokens(corpus, stopwords={"the"}, stemmer=lambda w: w)
+    cleaned = clean_tokens(corpus, stopwords={"the"})
     assert cleaned.sentences == (("cat", "running"),)
 
 
-def test_clean_stems_each_distinct_token_once():
+def test_clean_stems_each_distinct_token_once(monkeypatch):
     calls = []
 
     def stem(token):
@@ -74,8 +76,8 @@ def test_clean_stems_each_distinct_token_once():
         ("runner", "über", "über", "ran"),
         ("running",),
     )
-    cleaned = clean_tokens(Corpus("en", sentences), stopwords=stopwords,
-                           stemmer=stem)
+    monkeypatch.setattr(vsmeval.corpus, "porter_stem", stem)
+    cleaned = clean_tokens(Corpus("en", sentences), stopwords=stopwords)
     eligible = {t for s in sentences for t in s
                 if t.isalpha() and t not in stopwords}
     assert sorted(calls) == sorted(eligible)
@@ -86,16 +88,17 @@ def test_clean_stems_each_distinct_token_once():
     assert cleaned.sentences == expected
 
 
-def test_clean_drops_empty_sentences():
+def test_clean_drops_empty_sentences(monkeypatch):
+    monkeypatch.setattr(vsmeval.corpus, "porter_stem", lambda w: w)
     corpus = Corpus("en", (("the", "a", "an"), ("cat",)))
-    cleaned = clean_tokens(corpus, stopwords={"the", "a", "an"},
-                           stemmer=lambda w: w)
+    cleaned = clean_tokens(corpus, stopwords={"the", "a", "an"})
     assert cleaned.sentences == (("cat",),)
 
 
-def test_clean_unicode_letters_survive():
+def test_clean_unicode_letters_survive(monkeypatch):
+    monkeypatch.setattr(vsmeval.corpus, "porter_stem", lambda w: w)
     corpus = Corpus("ru", (("слово", "straße", "x1"),))
-    cleaned = clean_tokens(corpus, stopwords=set(), stemmer=lambda w: w)
+    cleaned = clean_tokens(corpus, stopwords=set())
     assert cleaned.sentences == (("слово", "straße"),)
 
 

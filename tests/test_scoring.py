@@ -71,15 +71,14 @@ def _pairlist(pairs):
 
 
 def test_score_identical_vectors_give_one():
-    v = np.array([1.0, 2.0])
-    table = VectorTable.from_dict("en", {"a": v, "b": v.copy()}, 2)
+    table = VectorTable("en", ("a", "b"), np.array([[1.0, 2.0], [1.0, 2.0]]))
     scores = score_pairs(table, _pairlist([("a", "b")]))
     assert scores.scores[0] == pytest.approx(1.0)
 
 
 def test_score_skip_policy_bookkeeping(rng):
-    words = {f"w{i}": rng.normal(size=3) for i in range(14)}
-    table = VectorTable.from_dict("en", words, 3)
+    table = VectorTable("en", tuple(f"w{i}" for i in range(14)),
+                        rng.normal(size=(14, 3)))
     pairs = [(f"w{2 * i}", f"w{2 * i + 1}") for i in range(7)]
     pairs += [("w0", "miss1"), ("miss2", "w1"), ("miss3", "miss4")]
     scores = score_pairs(table, _pairlist(pairs), oov_policy="skip")
@@ -89,21 +88,21 @@ def test_score_skip_policy_bookkeeping(rng):
 
 
 def test_score_error_policy_names_word():
-    table = VectorTable.from_dict("en", {"a": np.ones(2)}, 2)
+    table = VectorTable("en", ("a",), np.ones((1, 2)))
     with pytest.raises(WordLookupError, match="b"):
         score_pairs(table, _pairlist([("a", "b")]), oov_policy="error")
 
 
 def test_scores_match_per_pair_cosine(rng):
-    words = {f"w{i}": rng.normal(size=8) for i in range(100)}
-    table = VectorTable.from_dict("en", words, 8)
+    table = VectorTable("en", tuple(f"w{i}" for i in range(100)),
+                        rng.normal(size=(100, 8)))
     pairs = [
         (f"w{rng.integers(100)}", f"w{rng.integers(100)}")
         for _ in range(353)
     ]
     scores = score_pairs(table, _pairlist(pairs))
     for idx, (w1, w2) in enumerate(pairs):
-        u, v = words[w1], words[w2]
+        u, v = table[w1], table[w2]
         expected = float(
             np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
         )
@@ -111,8 +110,12 @@ def test_scores_match_per_pair_cosine(rng):
 
 
 def test_degenerate_pairs_flagged():
-    table = VectorTable.from_dict("en", {"a": np.zeros(2), "b": np.ones(2)}, 2)
-    scores = score_pairs(table, _pairlist([("a", "b"), ("b", "b")]))
+    # "c" is not a zero vector, though its norm underflows to 0.0
+    table = VectorTable("en", ("a", "b", "c", "d"),
+                        np.array([[0, 0], [1, 1], [1e-200, 0], [0, 1]]))
+    scores = score_pairs(table, _pairlist([("a", "b"), ("b", "b"),
+                                           ("c", "d")]))
+    assert scores.scores[2] == 0.0
     assert scores.degenerate == frozenset({0})
 
 
@@ -152,9 +155,9 @@ def test_rank_invariant_under_monotone_transform(rng):
 
 
 def test_uniform_table_scaling_keeps_scores(rng):
-    words = {f"w{i}": rng.normal(size=4) for i in range(10)}
-    t1 = VectorTable.from_dict("en", words, 4)
-    t2 = VectorTable.from_dict("en", {w: 3.5 * v for w, v in words.items()}, 4)
+    words = tuple(f"w{i}" for i in range(10))
+    t1 = VectorTable("en", words, rng.normal(size=(10, 4)))
+    t2 = VectorTable("en", words, 3.5 * t1.matrix)
     pairs = _pairlist([("w0", "w1"), ("w2", "w3")])
     s1 = score_pairs(t1, pairs)
     s2 = score_pairs(t2, pairs)

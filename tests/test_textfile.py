@@ -141,3 +141,42 @@ def test_only_textfile_opens_a_file():
     opens = {p.name: calls for p in sorted(package.glob("*.py"))
              if p.name != "textfile.py" and (calls := _opens(p))}
     assert opens == {"manifest.py": [("file_digest", "rb")]}
+
+
+# each is one half of a persisted format whose other half the program uses
+_UNREACHED_BY_DESIGN = {"load_cca_model", "save_lexicon"}
+
+
+def test_every_public_name_is_reached_by_the_program():
+    # a name counts as reached when a module of the package or of the
+    # benchmark spells it as a name, an attribute or a string (the
+    # benchmark's tracer wraps functions by name); tests and demos do not
+    # count
+    package = Path(vsmeval.__file__).parent
+    sources = [*package.glob("*.py"),
+               *(Path(__file__).parents[1] / "perfbench").glob("*.py")]
+    spelled = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                spelled.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                spelled.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                spelled.add(node.value)
+    public = {}  # qualified name -> the name a caller spells
+    for path in package.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            public[node.name] = node.name
+            if isinstance(node, ast.ClassDef):
+                public.update((f"{node.name}.{item.name}", item.name)
+                              for item in node.body
+                              if isinstance(item, ast.FunctionDef)
+                              and not item.name.startswith("_"))
+    unreached = {qualified for qualified, name in public.items()
+                 if name not in spelled}
+    assert unreached == _UNREACHED_BY_DESIGN

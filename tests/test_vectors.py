@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vsmeval.errors import AlignmentError, EmptyInputError, FormatError
+from vsmeval.errors import (AlignmentError, ArgumentError, EmptyInputError,
+                            FormatError)
 from vsmeval.vectors import (
     VectorTable,
     _parse_row,
@@ -27,9 +28,8 @@ from oracles import load_vectors_linewise
 
 def _table(words, dim=3, language="en", rng=None):
     rng = rng or np.random.default_rng(0)
-    return VectorTable.from_dict(
-        language, {w: rng.normal(size=dim) for w in words}, dim
-    )
+    words = tuple(dict.fromkeys(words))
+    return VectorTable(language, words, rng.normal(size=(len(words), dim)))
 
 
 def test_load_simple_file(tmp_path):
@@ -104,13 +104,13 @@ def test_duplicate_word_last_wins(tmp_path):
 
 
 def test_save_empty_table_refused(tmp_path):
-    table = VectorTable.from_dict("en", {}, 3)
+    table = VectorTable("en", (), np.zeros((0, 3)))
     with pytest.raises(EmptyInputError):
         save_vectors(table, tmp_path / "v.txt")
 
 
 def test_save_whitespace_word_refused(tmp_path):
-    table = VectorTable.from_dict("en", {"new york": np.ones(2)}, 2)
+    table = VectorTable("en", ("new york",), np.ones((1, 2)))
     path = tmp_path / "v.txt"
     with pytest.raises(FormatError, match="'new york'"):
         save_vectors(table, path)
@@ -471,6 +471,11 @@ def test_misaligned_sets_rejected():
                          batch_size=3)
     with pytest.raises(AlignmentError):
         vocabulary_coverage([], [en, short])
+
+
+def test_coverage_without_sets_refused():
+    with pytest.raises(ArgumentError, match="no evaluation set"):
+        vocabulary_coverage([_table(["a"])], [])
 
 
 def test_coverage_tsv_dump(tmp_path):
