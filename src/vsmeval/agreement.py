@@ -46,7 +46,8 @@ from .errors import (
     FormatError,
     ValidationError,
 )
-from .scoring import ScoreVector, WordPairList, record_pair_index
+from .scoring import (ScoreVector, WordPairList, check_aligned,
+                      check_one_per_language, record_pair_index)
 from .stats import (
     WelchResult,
     column_ranks,
@@ -208,15 +209,13 @@ def _ranked_spearman(
 
 
 def _check_sets(sets: list[EvaluationSet]) -> None:
-    """Every set complete and every pair of sets aligned."""
+    """Every set complete, with the pair indices and batches of the
+    first."""
     for s in sets:
         s.require_complete()
-    for s1, s2 in itertools.combinations(sets, 2):
-        if s1.pairs.source_ids != s2.pairs.source_ids:
-            raise AlignmentError("evaluation sets have different pair indices")
-        if s1.batches != s2.batches:
-            raise AlignmentError(
-                "evaluation sets have different batch partitions")
+    check_aligned(sets)
+    if any(s.batches != sets[0].batches for s in sets):
+        raise AlignmentError("evaluation sets have different batch partitions")
 
 
 def _worker_count(batches: int) -> int:
@@ -358,11 +357,7 @@ def significance_driver(
     if not sets:
         return {}
     _check_sets(sets)
-    languages = [s.language for s in sets]
-    for lang in languages:
-        if languages.count(lang) > 1:
-            raise ArgumentError(
-                f"language {lang!r} names more than one evaluation set")
+    check_one_per_language(sets, "evaluation set")
     within_reports, cross_reports = _agreement_reports(sets, K, within=True)
     within = {s.language: r for s, r in zip(sets, within_reports)}
     cross = {

@@ -32,7 +32,6 @@ class CountMatrix:
     rows: np.ndarray  # int64 row index per triplet
     cols: np.ndarray  # int64 column index per triplet
     values: np.ndarray  # int64 count per triplet
-    window: int
     language: str = "und"
 
     @property
@@ -83,7 +82,7 @@ def count_cooccurrences(
     idx, values = np.unique(np.concatenate(keys), return_counts=True)
     return CountMatrix(
         row_words=row_words, col_words=col_words, rows=idx // k,
-        cols=idx % k, values=values, window=window, language=corpus.language,
+        cols=idx % k, values=values, language=corpus.language,
     )
 
 

@@ -44,25 +44,22 @@ from .errors import (
     DegenerateError,
     FormatError,
     ValidationError,
-    VsmevalError,
     WordLookupError,
 )
 from .manifest import manifest_lines
 from .scoring import (
     align_scores,
+    check_one_per_language,
     read_pair_list,
     read_scores,
     score_pairs,
+    vocabulary_coverage,
+    write_coverage,
     write_scores,
 )
 from .stats import kendall_tau_b, pearson, quintile_fscore, spearman
 from .textfile import read_rows, write_lines
-from .vectors import (
-    load_vectors,
-    save_vectors,
-    vocabulary_coverage,
-    write_coverage,
-)
+from .vectors import load_vectors, save_vectors
 
 USAGE_EXIT = 2
 DATA_EXIT = 3
@@ -260,9 +257,7 @@ def cmd_combine(args) -> int:
         raise ArgumentError("cca needs two --vectors (LANG=PATH) and "
                             "--lexicon")
     (path1, path2), (t1, t2) = _load_tagged(args.vectors, load_vectors)
-    if t1.language == t2.language:
-        raise ArgumentError(
-            f"language {t1.language!r} names more than one vector table")
+    check_one_per_language((t1, t2), "vector table")
     lexicon = load_lexicon(args.lexicon)
     model = fit_cca_tables(
         t1, t2, lexicon, eps=args.eps, components=args.components,

@@ -149,25 +149,12 @@ def _gather(table: VectorTable, words: tuple[str, ...]) -> np.ndarray:
 
 
 def aligned_matrices(
-    t1: VectorTable,
-    t2: VectorTable,
-    lexicon: TranslationLexicon,
-    max_dim: int | None = None,
-):
-    """Stack lexicon-aligned vectors into two matrices of unit-normalised
-    rows, optionally capping dimensionality with a variance-preserving
-    projection (for wide PPMI inputs).
-
-    Returns (X, Y, pca_1, pca_2) where the pca entries are either None or
-    the (mean, components) used to reduce each side; the caller folds
-    them into downstream projections.
-    """
-    if max_dim is not None and max_dim < 1:
-        raise ArgumentError(f"max_dim must be >= 1, got {max_dim}")
+    t1: VectorTable, t2: VectorTable, lexicon: TranslationLexicon
+) -> tuple[np.ndarray, np.ndarray]:
+    """(X, Y): the two tables' rows of the lexicon's words, row by row,
+    each row unit-normalised."""
     w1, w2 = lexicon.column(t1.language), lexicon.column(t2.language)
-    X, pca_1 = _reduce(_unit_rows(_gather(t1, w1)), max_dim)
-    Y, pca_2 = _reduce(_unit_rows(_gather(t2, w2)), max_dim)
-    return X, Y, pca_1, pca_2
+    return _unit_rows(_gather(t1, w1)), _unit_rows(_gather(t2, w2))
 
 
 def _unit_rows(M: np.ndarray) -> np.ndarray:
@@ -205,8 +192,12 @@ def fit_cca_tables(
 ) -> CcaModel:
     """fit_cca over lexicon-aligned table rows, with any dimensionality
     cap folded back into the stored projection matrices so projection of
-    raw vectors remains a single centering + matrix product."""
-    X, Y, pca_1, pca_2 = aligned_matrices(t1, t2, lexicon, max_dim=max_dim)
+    raw vectors remains a single centering + matrix product; rows wider
+    than ``max_dim`` are first cut to their leading principal axes."""
+    if max_dim is not None and max_dim < 1:
+        raise ArgumentError(f"max_dim must be >= 1, got {max_dim}")
+    (X, pca_1), (Y, pca_2) = (_reduce(M, max_dim)
+                              for M in aligned_matrices(t1, t2, lexicon))
     model = fit_cca(X, Y, eps=eps, components=components,
                     languages=(t1.language, t2.language))
     model.mean_1, model.projection_1 = _fold(pca_1, model.mean_1,
@@ -233,7 +224,7 @@ def project_concat(
     """
     if side not in (None, "l1", "l2"):
         raise ArgumentError(f"side must be None, 'l1' or 'l2', got {side!r}")
-    X, Y, _, _ = aligned_matrices(t1, t2, lexicon)
+    X, Y = aligned_matrices(t1, t2, lexicon)
     halves = []
     if side != "l2":
         halves.append((X, model.mean_1, model.projection_1))

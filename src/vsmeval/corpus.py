@@ -13,7 +13,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 

@@ -48,5 +48,5 @@ class ConstantInputError(DegenerateError):
     """Correlation requested on a constant sequence."""
 
 
-class WordLookupError(VsmevalError, KeyError):
+class WordLookupError(VsmevalError, LookupError):
     """A required word is missing from a vector table."""

@@ -1,5 +1,7 @@
 """Word-pair scoring: cosine similarity against a vector table, score
-vectors keyed by pair index, and their TSV files.
+vectors keyed by pair index, and their TSV files; the pairs that tables
+cover in every language, and the two rules every cross-language
+comparison checks: the same pair indices and one input per language.
 """
 
 from __future__ import annotations
@@ -9,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, FormatError, WordLookupError
+from .errors import AlignmentError, ArgumentError, FormatError, \
+    WordLookupError
 from .textfile import check_cells, numeric, read_lines, read_rows, \
     write_lines
 from .vectors import VectorTable
@@ -201,3 +204,78 @@ def read_scores(path) -> ScoreVector:
         else:
             raise FormatError("non-finite score", path=path, line=lineno)
     return ScoreVector(scores=scores, skipped=skipped)
+
+
+def check_aligned(eval_sets) -> None:
+    """Refuse evaluation sets that do not list the same pair indices."""
+    if any(s.pairs.source_ids != eval_sets[0].pairs.source_ids
+           for s in eval_sets):
+        raise AlignmentError("evaluation sets have different pair indices")
+
+
+def check_one_per_language(items, noun: str) -> None:
+    """Refuse two ``items`` of one ``language``, naming the first repeat."""
+    seen = set()
+    for item in items:
+        if item.language in seen:
+            raise ArgumentError(
+                f"language {item.language!r} names more than one {noun}")
+        seen.add(item.language)
+
+
+@dataclass
+class CoverageReport:
+    covered: tuple[int, ...]
+    excluded: tuple[int, ...]
+    missing_words: dict[int, tuple[tuple[str, str], ...]]
+    # pair_index -> ((word, language), ...) for every absent lookup
+
+    def __post_init__(self):
+        if set(self.covered) & set(self.excluded):
+            raise AlignmentError("covered and excluded pair sets overlap")
+
+
+def vocabulary_coverage(tables, eval_sets) -> CoverageReport:
+    """Uniform cross-language pair exclusion: a pair index is dropped
+    everywhere as soon as either of its words is missing from the matching
+    language's table in ANY language version.
+
+    ``tables`` and ``eval_sets`` are matched by language code; languages
+    without a table are skipped (no model to cover them), and two tables
+    of one language are refused.
+    """
+    check_one_per_language(tables, "vector table")
+    by_language = {t.language: t for t in tables}
+    if not eval_sets:
+        raise ArgumentError("no evaluation set to cover")
+    check_aligned(eval_sets)
+    indices = eval_sets[0].pairs.source_ids
+    missing = {}
+    for pos, idx in enumerate(indices):
+        absent = tuple((w, s.language) for s in eval_sets
+                       if s.language in by_language
+                       for w in s.pairs.pairs[pos]
+                       if w not in by_language[s.language])
+        if absent:
+            missing[idx] = absent
+    return CoverageReport(
+        covered=tuple(i for i in indices if i not in missing),
+        excluded=tuple(missing),
+        missing_words=missing,
+    )
+
+
+def write_coverage(report: CoverageReport, eval_set, path,
+                   header_lines=()) -> None:
+    """TSV dump: pair_index, word1, word2, status, missing_in."""
+    lines = ["pair_index\tword1\tword2\tstatus\tmissing_in"]
+    for idx, (w1, w2) in sorted(zip(eval_set.pairs.source_ids,
+                                    eval_set.pairs.pairs)):
+        if idx in report.missing_words:
+            langs = ",".join(
+                f"{w}:{lang}" for w, lang in report.missing_words[idx]
+            )
+            lines.append(f"{idx}\t{w1}\t{w2}\texcluded\t{langs}")
+        else:
+            lines.append(f"{idx}\t{w1}\t{w2}\tcovered\t")
+    write_lines(path, lines, header_lines)

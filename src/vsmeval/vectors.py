@@ -26,12 +26,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    ArgumentError,
-    EmptyInputError,
-    FormatError,
-)
+from .errors import ArgumentError, EmptyInputError, FormatError
 from .textfile import numeric, read_lines, write_lines
 
 
@@ -74,18 +69,6 @@ class VectorTable:
 
     def __len__(self):
         return len(self.words)
-
-
-@dataclass
-class CoverageReport:
-    covered: tuple[int, ...]
-    excluded: tuple[int, ...]
-    missing_words: dict[int, tuple[tuple[str, str], ...]]
-    # pair_index -> ((word, language), ...) for every absent lookup
-
-    def __post_init__(self):
-        if set(self.covered) & set(self.excluded):
-            raise AlignmentError("covered and excluded pair sets overlap")
 
 
 def load_vectors(path, language: str = "und") -> VectorTable:
@@ -258,63 +241,3 @@ def _sparse_cells(row: np.ndarray, nonzero: np.ndarray) -> list[str]:
     for j, value in zip(where.tolist(), row[where].tolist()):
         cells[j] = repr(value)
     return cells
-
-
-def vocabulary_coverage(tables, eval_sets) -> CoverageReport:
-    """Uniform cross-language pair exclusion: a pair index is dropped
-    everywhere as soon as either of its words is missing from the matching
-    language's table in ANY language version.
-
-    ``tables`` and ``eval_sets`` are matched by language code; languages
-    without a table are skipped (no model to cover them), and two tables
-    of one language are refused.
-    """
-    by_language = {}
-    for t in tables:
-        if t.language in by_language:
-            raise ArgumentError(
-                f"language {t.language!r} names more than one vector table")
-        by_language[t.language] = t
-    if not eval_sets:
-        raise ArgumentError("no evaluation set to cover")
-    indices = tuple(eval_sets[0].pairs.source_ids)
-    if any(tuple(s.pairs.source_ids) != indices for s in eval_sets):
-        raise AlignmentError("evaluation sets have misaligned pair indices")
-    covered, excluded = [], []
-    missing: dict[int, list[tuple[str, str]]] = {}
-    for pos, idx in enumerate(indices):
-        absent = []
-        for s in eval_sets:
-            table = by_language.get(s.language)
-            if table is None:
-                continue
-            w1, w2 = s.pairs.pairs[pos]
-            for w in (w1, w2):
-                if w not in table:
-                    absent.append((w, s.language))
-        if absent:
-            excluded.append(idx)
-            missing[idx] = absent
-        else:
-            covered.append(idx)
-    return CoverageReport(
-        covered=tuple(covered),
-        excluded=tuple(excluded),
-        missing_words={k: tuple(v) for k, v in missing.items()},
-    )
-
-
-def write_coverage(report: CoverageReport, eval_set, path,
-                   header_lines=()) -> None:
-    """TSV dump: pair_index, word1, word2, status, missing_in."""
-    lines = ["pair_index\tword1\tword2\tstatus\tmissing_in"]
-    for idx, (w1, w2) in sorted(zip(eval_set.pairs.source_ids,
-                                    eval_set.pairs.pairs)):
-        if idx in report.missing_words:
-            langs = ",".join(
-                f"{w}:{lang}" for w, lang in report.missing_words[idx]
-            )
-            lines.append(f"{idx}\t{w1}\t{w2}\texcluded\t{langs}")
-        else:
-            lines.append(f"{idx}\t{w1}\t{w2}\tcovered\t")
-    write_lines(path, lines, header_lines)

@@ -25,12 +25,12 @@ def damaged(draw, data: bytes):
     return data[:pos] + byte + data[pos + replace:]
 
 
-def dense_count_matrix(row_words, col_words, counts, window, language="und"):
+def dense_count_matrix(row_words, col_words, counts, language="und"):
     """A CountMatrix holding the non-zero cells of a dense count array."""
     counts = np.asarray(counts)
     rows, cols = np.nonzero(counts)
     return CountMatrix(tuple(row_words), tuple(col_words), rows, cols,
-                       counts[rows, cols].astype(np.int64), window, language)
+                       counts[rows, cols].astype(np.int64), language)
 
 
 def _rescale_to_range(scores, lo=0.0, hi=10.0):

@@ -145,8 +145,7 @@ def test_ppmi_oracle_equivalence():
                                    int(col_sums[j]), m.total)
                 assert abs(table.vectors[w][j] - want) <= 1e-12
 
-        scaled = dense_count_matrix(m.row_words, m.col_words,
-                                    counts * 7, m.window)
+        scaled = dense_count_matrix(m.row_words, m.col_words, counts * 7)
         rescaled = ppmi_transform(scaled)
         for w in m.row_words:
             assert np.allclose(rescaled.vectors[w], table.vectors[w],

@@ -136,7 +136,7 @@ def test_wider_window_never_decreases_counts(rng):
 
 def test_ppmi_independence_gives_zero():
     m = dense_count_matrix(("a", "b"), ("x", "y"),
-                           np.array([[1, 1], [1, 1]]), window=1)
+                           np.array([[1, 1], [1, 1]]))
     table = ppmi_transform(m)
     assert np.allclose(table.vectors["a"], 0.0)
     assert np.allclose(table.vectors["b"], 0.0)
@@ -144,7 +144,7 @@ def test_ppmi_independence_gives_zero():
 
 def test_ppmi_diagonal_hand_value():
     m = dense_count_matrix(("a", "b"), ("x", "y"),
-                           np.array([[2, 0], [0, 2]]), window=1)
+                           np.array([[2, 0], [0, 2]]))
     table = ppmi_transform(m)
     # n=2, total=4, row=col=2: ln(2*4/(2*2)) = ln 2
     assert table.vectors["a"][0] == pytest.approx(math.log(2), abs=1e-12)
@@ -157,7 +157,7 @@ def test_ppmi_nonnegative_and_matches_scalar_formula(rng):
     m = dense_count_matrix(
         tuple(f"r{i}" for i in range(7)),
         tuple(f"c{j}" for j in range(9)),
-        counts, window=2,
+        counts,
     )
     table = ppmi_transform(m)
     total = counts.sum()
@@ -176,21 +176,21 @@ def test_ppmi_scale_invariance(rng):
     counts[0, 0] += 1  # nonzero total
     rows = tuple(f"r{i}" for i in range(5))
     cols = tuple(f"c{j}" for j in range(6))
-    t1 = ppmi_transform(dense_count_matrix(rows, cols, counts, 1))
-    t2 = ppmi_transform(dense_count_matrix(rows, cols, counts * 2, 1))
+    t1 = ppmi_transform(dense_count_matrix(rows, cols, counts))
+    t2 = ppmi_transform(dense_count_matrix(rows, cols, counts * 2))
     for w in rows:
         assert np.allclose(t1.vectors[w], t2.vectors[w], atol=1e-12)
 
 
 def test_ppmi_zero_matrix_rejected():
-    m = dense_count_matrix(("a",), ("x",), np.zeros((1, 1), dtype=int), 1)
+    m = dense_count_matrix(("a",), ("x",), np.zeros((1, 1), dtype=int))
     with pytest.raises(DegenerateError):
         ppmi_transform(m)
 
 
 def test_ppmi_zero_row_becomes_zero_vector():
     m = dense_count_matrix(("a", "b"), ("x", "y"),
-                           np.array([[0, 0], [1, 2]]), 1)
+                           np.array([[0, 0], [1, 2]]))
     table = ppmi_transform(m)
     assert np.all(table.vectors["a"] == 0.0)
 
@@ -228,11 +228,11 @@ def _single(shape, cell, value):
 def test_ppmi_equals_the_dense_reference(counts, every_cell):
     rows = tuple(f"r{i}" for i in range(counts.shape[0]))
     cols = tuple(f"c{j}" for j in range(counts.shape[1]))
-    m = dense_count_matrix(rows, cols, counts, 2, "en")
+    m = dense_count_matrix(rows, cols, counts, "en")
     if every_cell:
         # a library caller may pass a triplet per cell, zeros included
         r, c = np.indices(counts.shape).reshape(2, -1)
-        m = CountMatrix(rows, cols, r, c, counts.ravel(), 2, "en")
+        m = CountMatrix(rows, cols, r, c, counts.ravel(), "en")
     try:
         want = ppmi_dense_reference(m)
     except DegenerateError as error:

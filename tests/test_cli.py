@@ -12,10 +12,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from vsmeval.agreement import load_evaluation_set, save_evaluation_set
+from vsmeval.agreement import (load_evaluation_set, save_evaluation_set,
+                               significance_driver)
 from vsmeval.cli import main
 from vsmeval.combine import load_cca_model
-from vsmeval.errors import FormatError
+from vsmeval.errors import ArgumentError, FormatError
 from vsmeval.scoring import read_scores
 from vsmeval.stats import quintile_block_sizes
 from vsmeval.vectors import VectorTable, load_vectors, save_vectors
@@ -537,13 +538,54 @@ def test_lexicon_without_a_vectors_language_exit_3(workspace, capsys):
     assert "'fr'" in err and "en, de" in err
 
 
-def test_combine_cca_refuses_two_tables_of_one_language(workspace, capsys):
-    argv = _cca_argv(workspace)
-    argv[5] = f"en={workspace / 'vectors_de.txt'}"
+@pytest.mark.parametrize("entry, noun", [
+    ("significance_driver", "evaluation set"),
+    ("coverage", "vector table"),
+    ("combine", "vector table"),
+], ids=["significance_driver", "coverage", "combine"])
+def test_one_input_per_language(workspace, capsys, entry, noun):
+    # every entry point that keys its inputs by language refuses two
+    # inputs of one language with the same words
+    message = f"language 'en' names more than one {noun}"
+    evalset = workspace / "evalset.tsv"
+    if entry == "significance_driver":
+        sets = [load_evaluation_set(evalset, language="en")] * 2
+        with pytest.raises(ArgumentError) as refused:
+            significance_driver(sets)
+        assert str(refused.value) == message
+        return
+    vectors = [f"en={workspace / name}"
+               for name in ("vectors.txt", "vectors_de.txt")]
+    argv = {
+        "coverage": ["coverage", "--vectors", vectors[0], "--vectors",
+                     vectors[1], "--evalset", f"en={evalset}"],
+        "combine": ["combine", "--method", "cca", "--vectors", *vectors,
+                    "--lexicon", str(workspace / "lexicon.tsv")],
+    }[entry] + ["--out", str(workspace / "c.txt")]
     assert main(argv) == 2
-    assert ("language 'en' names more than one vector table"
-            in capsys.readouterr().err)
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (workspace / "c.txt").exists()
+
+
+def test_missing_lexicon_word_message_is_unquoted(workspace, capsys):
+    lex = workspace / "lexicon.tsv"
+    rows = len(lex.read_text().splitlines()) - 1
+    with lex.open("a") as f:
+        f.write("zzznotaword\tw0\n")
+    assert main(_cca_argv(workspace)) == 3
+    assert capsys.readouterr().err == (
+        f"error: word 'zzznotaword' (lexicon row {rows}) missing from en "
+        "table\n")
+
+
+def test_oov_policy_error_message_is_unquoted(workspace, capsys):
+    pairs = workspace / "pairs.tsv"
+    pairs.write_text("0\tw0\tw1\n1\tw2\tzzz\\notaword\n")
+    assert main(["score", "--vectors", str(workspace / "vectors.txt"),
+                 "--pairs", str(pairs), "--oov-policy", "error",
+                 "--out", str(workspace / "s.tsv")]) == 3
+    assert capsys.readouterr().err == (
+        "error: word 'zzz\\\\notaword' of pair 1 not in table\n")
 
 
 def test_lexicon_naming_a_language_twice_exit_3(workspace, capsys):

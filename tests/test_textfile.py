@@ -143,6 +143,29 @@ def test_only_textfile_opens_a_file():
     assert opens == {"manifest.py": [("file_digest", "rb")]}
 
 
+def _unused_imports(path):
+    """Names that ``path`` imports and never uses, as a name or as the
+    base of an attribute; ``from __future__`` imports do not count."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0]
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    # the base of ``np.zeros`` is the name ``np``
+    return imported - {node.id for node in ast.walk(tree)
+                       if isinstance(node, ast.Name)}
+
+
+def test_every_import_is_used():
+    package = Path(vsmeval.__file__).parent
+    unused = {p.name: names for p in sorted(package.glob("*.py"))
+              if (names := _unused_imports(p))}
+    assert unused == {}
+
+
 # each is one half of a persisted format whose other half the program uses
 _UNREACHED_BY_DESIGN = {"load_cca_model", "save_lexicon"}
 

@@ -13,13 +13,12 @@ from hypothesis import strategies as st
 
 from vsmeval.errors import (AlignmentError, ArgumentError, EmptyInputError,
                             FormatError)
+from vsmeval.scoring import vocabulary_coverage, write_coverage
 from vsmeval.vectors import (
     VectorTable,
     _parse_row,
     load_vectors,
     save_vectors,
-    vocabulary_coverage,
-    write_coverage,
 )
 
 from conftest import make_evalset
@@ -469,7 +468,7 @@ def test_misaligned_sets_rejected():
     rng = np.random.default_rng(4)
     short = make_evalset(rng.uniform(0, 10, size=(3, 13)), language="de",
                          batch_size=3)
-    with pytest.raises(AlignmentError):
+    with pytest.raises(AlignmentError, match="different pair indices"):
         vocabulary_coverage([], [en, short])
 
 

@@ -8,10 +8,11 @@ Each ``--parent`` / ``--change`` file is a ``perfbench/run.py`` result,
 ``perfbench/.work/result-<workload>-trace<n>.json``, copied aside after
 its run (the next run of that workload overwrites it). Untraced results
 give, per workload and side, the median and quartiles of every end-to-end
-metric declared in ``BENCHMARK.json`` over the seeds run, and how many
-seeds the change won; one traced result per workload and side gives the
-declared per-layer metrics and the ``# inputs`` block. ``--tier1-*`` is the output of the tier-1
-command run with ``--durations=15``.
+metric declared in ``BENCHMARK.json`` over the seeds run (at least
+two), and how many seeds the change won; one traced result per workload
+and side gives the declared per-layer metrics and the ``# inputs``
+block. ``--tier1-*`` is the output of the tier-1 command run with
+``--durations=15``.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ def record(results: dict[str, list[dict]]) -> dict:
         seeds = sorted(untraced["parent"])
         if seeds != sorted(untraced["change"]):
             raise SystemExit(f"{name}: parent and change ran different seeds")
+        if len(seeds) < 2:
+            raise SystemExit(f"{name}: quartiles need at least two untraced "
+                             "seeds a side")
         entry = {"seeds": seeds, "end_to_end": {}, "failed": {},
                  "attempted": {}, "traced": {}}
         for metric, spec in end_to_end.items():
