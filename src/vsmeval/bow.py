@@ -11,7 +11,7 @@ only, so the output matrix is the one dense rows x k array left.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 
 import numpy as np
 
@@ -60,30 +60,38 @@ def count_cooccurrences(
         raise ArgumentError(f"k={k} exceeds vocabulary size {len(vocab)}")
     col_words = tuple(islice(vocab, k))
     row_words = tuple(sorted(set(targets)))
-    row_index = {w: i for i, w in enumerate(row_words)}
-    col_index = {w: j for j, w in enumerate(col_words)}
-    tokens = [t for sent in corpus.sentences for t in sent]
-    rows = np.fromiter(map(row_index.get, tokens, repeat(-1)), np.int64,
-                       count=len(tokens))
-    cols = np.fromiter(map(col_index.get, tokens, repeat(-1)), np.int64,
-                       count=len(tokens))
-    lengths = np.fromiter(map(len, corpus.sentences), np.int64,
-                          count=len(corpus.sentences))
-    sentence = np.repeat(np.arange(len(lengths)), lengths)
-    longest = int(lengths.max(initial=0))
+    index = dict(zip(corpus.types, range(len(corpus.types))))
+    row_of = _type_positions(index, row_words)
+    col_of = _type_positions(index, col_words)
+    ids, offsets = corpus.ids, corpus.offsets
+    at = np.flatnonzero((row_of >= 0)[ids])  # the target tokens
+    rows = row_of[ids[at]]
+    sentence = np.searchsorted(offsets, at, side="right") - 1
+    start, end = offsets[sentence], offsets[sentence + 1]
+    longest = int(np.diff(offsets).max(initial=0))
     keys = [np.zeros(0, dtype=np.int64)]
     for d in range(1, min(window, longest - 1) + 1):
-        same = sentence[:-d] == sentence[d:]
-        # token at i with token at i+d, in both role assignments
-        for r, c in ((rows[:-d], cols[d:]), (rows[d:], cols[:-d])):
-            hit = same & (r >= 0) & (c >= 0)
-            keys.append(r[hit] * k + c[hit])
+        # each target token with the token d before it and d after it
+        for inside, j in ((at - d >= start, at - d), (at + d < end, at + d)):
+            c = col_of[ids[j[inside]]]
+            hit = c >= 0
+            keys.append(rows[inside][hit] * k + c[hit])
     # sorted distinct keys are the non-zero cells in row-major order
     idx, values = np.unique(np.concatenate(keys), return_counts=True)
     return CountMatrix(
         row_words=row_words, col_words=col_words, rows=idx // k,
         cols=idx % k, values=values, language=corpus.language,
     )
+
+
+def _type_positions(index, words) -> np.ndarray:
+    """For each type id of ``index`` (type -> id), the type's position in
+    ``words``, or -1."""
+    positions = np.full(len(index), -1, np.int64)
+    for j, w in enumerate(words):
+        if w in index:
+            positions[index[w]] = j
+    return positions
 
 
 def ppmi_transform(m: CountMatrix) -> VectorTable:

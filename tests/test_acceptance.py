@@ -120,7 +120,7 @@ def test_ppmi_oracle_equivalence():
             tuple(rng.choice(words, size=int(rng.integers(2, 9))))
             for _ in range(int(rng.integers(2, 8)))
         )
-        corpus = Corpus("en", sentences)
+        corpus = Corpus.from_sentences("en", sentences)
         vocab = build_vocabulary(corpus)
         window = int(rng.integers(1, 4))
         targets = set(rng.choice(words, size=4))

@@ -17,7 +17,7 @@ from oracles import (cooccurrence_bruteforce, dense_counts,
 
 
 def _corpus(*sentences):
-    return Corpus("en", tuple(tuple(s.split()) for s in sentences))
+    return Corpus.from_sentences("en", tuple(tuple(s.split()) for s in sentences))
 
 
 def test_simple_window_count():
@@ -50,7 +50,7 @@ def test_counts_match_bruteforce_enumerator(rng):
             tuple(rng.choice(words, size=rng.integers(1, 15)))
             for _ in range(50)
         )
-        corpus = Corpus("en", sentences)
+        corpus = Corpus.from_sentences("en", sentences)
         vocab = build_vocabulary(corpus)
         k = int(rng.integers(1, len(vocab) + 1))
         window = int(rng.integers(1, 5))
@@ -88,10 +88,10 @@ def _counting_cases(draw):
 @example(((("a", "a", "a"),), {"a"}, 1, 8))
 def test_counts_equal_bruteforce_property(case):
     sentences, targets, k, window = case
-    corpus = Corpus("en", sentences)
+    corpus = Corpus.from_sentences("en", sentences)
     if corpus.token_count == 0:
         # an empty corpus has no vocabulary to take contexts from
-        vocab = build_vocabulary(Corpus("en", (("a",),)))
+        vocab = build_vocabulary(Corpus.from_sentences("en", (("a",),)))
     else:
         vocab = build_vocabulary(corpus)
     m = count_cooccurrences(corpus, targets, vocab, k, window)
@@ -123,7 +123,7 @@ def test_wider_window_never_decreases_counts(rng):
     sentences = tuple(
         tuple(rng.choice(words, size=10)) for _ in range(30)
     )
-    corpus = Corpus("en", sentences)
+    corpus = Corpus.from_sentences("en", sentences)
     vocab = build_vocabulary(corpus)
     prev = None
     for window in (1, 2, 3, 5):
@@ -258,7 +258,7 @@ def test_paper_scale_build_peaks_near_its_matrix():
     sentences = tuple(tuple(tokens[i:i + 15])
                       for i in range(0, len(tokens), 15))
     # one sentence of every word, so that k=10000 contexts exist
-    corpus = Corpus("en", sentences + (tuple(words),))
+    corpus = Corpus.from_sentences("en", sentences + (tuple(words),))
     vocab = build_vocabulary(corpus)
     tracemalloc.start()
     try:

@@ -326,6 +326,50 @@ def test_manifest_embedded_in_reports(workspace):
     assert "evalset.tsv" in first
 
 
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # one process cannot see an order that follows str hashing, which
+    # PYTHONHASHSEED changes from process to process
+    rng = np.random.default_rng(5)
+    words = ["The", "the", "cat", "cats", "running", "runs", "ran", "42",
+             "über", "a", "an", "dog", "dogs", "sat", "x-ray", "Mat"]
+    (tmp_path / "corpus.txt").write_text("".join(
+        " ".join(rng.choice(words, size=rng.integers(1, 9))) + ".\n"
+        for _ in range(300)), encoding="utf-8")
+    (tmp_path / "targets.txt").write_text("cat\ndog\nrun\nsat\nmat\n")
+    pairs = (("cat", "dog"), ("run", "sat"), ("mat", "cat"), ("dog", "run"))
+    save_evaluation_set(make_evalset(rng.uniform(0, 10, size=(4, 13)),
+                                     words=pairs, batch_size=4),
+                        tmp_path / "evalset.tsv")
+    script = """if True:
+        import sys
+        from vsmeval.cli import main
+        out = sys.argv[1]
+        for argv in (
+            ["build-bow", "--corpus", "corpus.txt", "--clean", "--targets",
+             "targets.txt", "--k", "6", "--out", f"{out}/bow.txt"],
+            ["sample", "--corpus", "corpus.txt", "--fraction", "0.7",
+             "--seed", "3", "--out", f"{out}/sample.txt"],
+            ["baseline", "--corpus", "corpus.txt", "--clean", "--evalset",
+             "evalset.tsv", "--method", "li", "--reps", "3", "--seed", "2",
+             "--k", "6",
+             "--out", f"{out}/baseline.tsv"],
+        ):
+            assert main(argv) == 0, argv
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"out{hash_seed}"
+        out.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+        subprocess.run([sys.executable, "-c", script, out.name],
+                       cwd=tmp_path, env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(outputs[0]) == 3
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_import_leaves_scipy_stats_out():
     # bow keeps its counts as plain numpy triplets, not scipy.sparse
     src = Path(__file__).resolve().parent.parent / "src"

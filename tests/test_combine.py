@@ -334,7 +334,7 @@ def _word_corpus(rng, words, n_sentences=300, length=8):
     sentences = tuple(
         tuple(rng.choice(words, size=length)) for _ in range(n_sentences)
     )
-    return Corpus("en", sentences)
+    return Corpus.from_sentences("en", sentences)
 
 
 def _bow_builder(targets):

@@ -1,3 +1,7 @@
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +17,8 @@ from vsmeval.corpus import (
     tokenize_corpus,
     write_corpus,
 )
-from vsmeval.errors import ArgumentError, EmptyInputError
+from vsmeval.bow import count_cooccurrences
+from vsmeval.errors import ArgumentError, EmptyInputError, FormatError
 from vsmeval.stemming import porter_stem
 
 
@@ -57,7 +62,7 @@ def test_read_corpus_ends_a_line_at_a_lone_carriage_return(
 
 def test_clean_drops_stopwords_and_nonalpha(monkeypatch):
     monkeypatch.setattr(vsmeval.corpus, "porter_stem", lambda w: w)
-    corpus = Corpus("en", (("the", "cat", "42", "running"),))
+    corpus = Corpus.from_sentences("en", (("the", "cat", "42", "running"),))
     cleaned = clean_tokens(corpus, stopwords={"the"})
     assert cleaned.sentences == (("cat", "running"),)
 
@@ -77,7 +82,7 @@ def test_clean_stems_each_distinct_token_once(monkeypatch):
         ("running",),
     )
     monkeypatch.setattr(vsmeval.corpus, "porter_stem", stem)
-    cleaned = clean_tokens(Corpus("en", sentences), stopwords=stopwords)
+    cleaned = clean_tokens(Corpus.from_sentences("en", sentences), stopwords=stopwords)
     eligible = {t for s in sentences for t in s
                 if t.isalpha() and t not in stopwords}
     assert sorted(calls) == sorted(eligible)
@@ -90,21 +95,21 @@ def test_clean_stems_each_distinct_token_once(monkeypatch):
 
 def test_clean_drops_empty_sentences(monkeypatch):
     monkeypatch.setattr(vsmeval.corpus, "porter_stem", lambda w: w)
-    corpus = Corpus("en", (("the", "a", "an"), ("cat",)))
+    corpus = Corpus.from_sentences("en", (("the", "a", "an"), ("cat",)))
     cleaned = clean_tokens(corpus, stopwords={"the", "a", "an"})
     assert cleaned.sentences == (("cat",),)
 
 
 def test_clean_unicode_letters_survive(monkeypatch):
     monkeypatch.setattr(vsmeval.corpus, "porter_stem", lambda w: w)
-    corpus = Corpus("ru", (("слово", "straße", "x1"),))
+    corpus = Corpus.from_sentences("ru", (("слово", "straße", "x1"),))
     cleaned = clean_tokens(corpus, stopwords=set())
     assert cleaned.sentences == (("слово", "straße"),)
 
 
 def test_default_stemmer_conflates_inflections():
     assert porter_stem("running") == porter_stem("runs")
-    corpus = Corpus("en", (("running", "runs"),))
+    corpus = Corpus.from_sentences("en", (("running", "runs"),))
     cleaned = clean_tokens(corpus, stopwords=set())
     assert cleaned.sentences[0][0] == cleaned.sentences[0][1]
 
@@ -119,7 +124,7 @@ def test_clean_is_idempotent():
 
 
 def test_vocabulary_counts_and_order():
-    vocab = build_vocabulary(Corpus("en", (("a", "b", "a"),)))
+    vocab = build_vocabulary(Corpus.from_sentences("en", (("a", "b", "a"),)))
     assert vocab["a"] == 2
     assert vocab["b"] == 1
     assert tuple(vocab) == ("a", "b")
@@ -127,13 +132,13 @@ def test_vocabulary_counts_and_order():
 
 
 def test_vocabulary_lexicographic_tiebreak():
-    vocab = build_vocabulary(Corpus("en", (("b", "a"),)))
+    vocab = build_vocabulary(Corpus.from_sentences("en", (("b", "a"),)))
     assert tuple(vocab) == ("a", "b")
 
 
 def test_vocabulary_empty_corpus_rejected():
     with pytest.raises(EmptyInputError):
-        build_vocabulary(Corpus("en", ()))
+        build_vocabulary(Corpus.from_sentences("en", ()))
 
 
 def test_vocabulary_matches_naive_recount(rng):
@@ -142,7 +147,7 @@ def test_vocabulary_matches_naive_recount(rng):
         tuple(rng.choice(words, size=rng.integers(1, 12)))
         for _ in range(1000)
     )
-    corpus = Corpus("en", sentences)
+    corpus = Corpus.from_sentences("en", sentences)
     vocab = build_vocabulary(corpus)
     naive = {}
     for sent in sentences:
@@ -167,7 +172,7 @@ def _tie_heavy_sentences(draw):
 @given(_tie_heavy_sentences())
 @example([["b", "a"], ["ab", "B"], ["é", "a", "b"]])
 def test_vocabulary_order_under_ties_property(sentences):
-    corpus = Corpus("en", tuple(map(tuple, sentences)))
+    corpus = Corpus.from_sentences("en", tuple(map(tuple, sentences)))
     naive = {}
     for sent in sentences:
         for tok in sent:
@@ -178,33 +183,33 @@ def test_vocabulary_order_under_ties_property(sentences):
 
 
 def test_sample_full_fraction_is_identity():
-    corpus = Corpus("en", (("a", "b"), ("c",)))
+    corpus = Corpus.from_sentences("en", (("a", "b"), ("c",)))
     assert sample_corpus(corpus, 1.0, 3).sentences == corpus.sentences
 
 
 def test_sample_size_and_subset():
-    corpus = Corpus("en", tuple((f"w{i}",) for i in range(100)))
+    corpus = Corpus.from_sentences("en", tuple((f"w{i}",) for i in range(100)))
     sampled = sample_corpus(corpus, 0.8, seed=11)
     assert len(sampled.sentences) == 80
     assert set(sampled.sentences) <= set(corpus.sentences)
 
 
 def test_sample_deterministic():
-    corpus = Corpus("en", tuple((f"w{i}",) for i in range(50)))
+    corpus = Corpus.from_sentences("en", tuple((f"w{i}",) for i in range(50)))
     a = sample_corpus(corpus, 0.5, seed=4)
     b = sample_corpus(corpus, 0.5, seed=4)
     assert a.sentences == b.sentences
 
 
 def test_sample_fraction_validation():
-    corpus = Corpus("en", (("a",),))
+    corpus = Corpus.from_sentences("en", (("a",),))
     for bad in (0.0, -0.1, 1.5):
         with pytest.raises(ArgumentError):
             sample_corpus(corpus, bad, 0)
 
 
 def test_sample_then_vocab_equals_direct_vocab():
-    corpus = Corpus("en", (("a", "b"), ("b", "c"), ("c", "d")))
+    corpus = Corpus.from_sentences("en", (("a", "b"), ("b", "c"), ("c", "d")))
     for seed in range(5):
         sampled = sample_corpus(corpus, 1.0, seed)
         assert list(build_vocabulary(sampled).items()) == \
@@ -216,7 +221,7 @@ def test_type_and_token_counts_match_recount(rng):
     sentences = tuple(
         tuple(rng.choice(words, size=5)) for _ in range(200)
     )
-    corpus = Corpus("en", sentences)
+    corpus = Corpus.from_sentences("en", sentences)
     tokens = [t for s in sentences for t in s]
     assert corpus.type_count == len(set(tokens))
     assert corpus.token_count == len(tokens)
@@ -235,3 +240,92 @@ def test_corpus_roundtrip(tmp_path):
     write_corpus(corpus, path)
     again = read_corpus(path, "en")
     assert again.sentences == corpus.sentences
+
+
+@pytest.mark.parametrize("sentences", [
+    (("The", "cat"),),  # would read back lower-cased
+    (("a b",),),  # would read back as two tokens
+    (("a", ""),),  # an empty token would vanish
+    (("a",), ()),  # so would an empty sentence
+    (("x\u2028y",),),  # a Unicode line separator is whitespace
+    (("\ud800",),),  # a lone surrogate has no UTF-8 encoding
+])
+def test_write_corpus_refuses_what_read_corpus_changes(tmp_path, sentences):
+    path = tmp_path / "corpus.txt"
+    with pytest.raises(FormatError, match="corpus.txt"):
+        write_corpus(Corpus.from_sentences("en", sentences), path)
+    assert not path.exists()
+
+
+_TOKEN_CHARACTERS = st.sampled_from(
+    ["a", "b", "B", "\u00e9", "\u0130", "\u03a3", "\u03c2", ".", " ",
+     "\t", "\r", "\u2028"]) | st.characters()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.text(_TOKEN_CHARACTERS, max_size=4),
+                         max_size=4), max_size=4))
+@example([["the", "cat"], ["\u03c3\u03c2"]])
+@example([["The", "cat"], ["a b"], []])
+def test_write_corpus_round_trip_property(sentences):
+    corpus = Corpus.from_sentences("en", sentences)
+    valid = all(s and " ".join(s).lower().split() == s for s in sentences)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.txt"
+        if valid:
+            write_corpus(corpus, path)
+            assert read_corpus(path, "en").sentences == corpus.sentences
+        else:
+            with pytest.raises(FormatError):
+                write_corpus(corpus, path)
+            assert not path.exists()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=5)
+                .map(tuple), max_size=12),
+       st.floats(0.0, 1.0, exclude_min=True),
+       st.integers(0, 2**32))
+@example([("a", "b"), ("c",), ("a", "d")], 0.5, 0)
+def test_sample_picks_the_rng_choice_sentences_property(sentences,
+                                                        fraction, seed):
+    sampled = sample_corpus(Corpus.from_sentences("en", sentences),
+                            fraction, seed)
+    n = len(sentences)
+    if fraction == 1.0:
+        expected = tuple(sentences)
+    else:
+        size = int(np.floor(fraction * n + 0.5))
+        chosen = np.random.default_rng(seed).choice(n, size=size,
+                                                    replace=False)
+        expected = tuple(sentences[i] for i in sorted(chosen))
+    assert sampled.sentences == expected
+    tokens = [t for s in expected for t in s]
+    assert sampled.token_count == len(tokens)
+    assert sampled.type_count == len(set(tokens))
+
+
+def test_corpus_pipeline_memory_is_a_few_token_arrays(tmp_path):
+    # read -> clean -> vocabulary -> count over 300k tokens, with targets
+    # in frequency ranks 20-620. Tuples of str peaked at about 80 bytes a
+    # token; int32 ids and the arrays made from them peak at about 30
+    rng = np.random.default_rng(3)
+    words = ["".join(rng.choice(list("bdgkmnptvz"), size=3)) + "o" + c
+             for c in "bdgkmnptvz" for _ in range(1_200)]
+    p = 1.0 / np.arange(1, len(words) + 1)
+    tokens = np.array(words)[rng.choice(len(words), 300_000, p=p / p.sum())]
+    path = tmp_path / "corpus.txt"
+    path.write_text("".join(" ".join(tokens[i:i + 15]) + "\n"
+                            for i in range(0, len(tokens), 15)))
+    tracemalloc.start()
+    try:
+        corpus = clean_tokens(read_corpus(path, "en"))
+        vocab = build_vocabulary(corpus)
+        m = count_cooccurrences(corpus, words[20:620:6], vocab,
+                                k=min(10_000, len(vocab)), window=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert corpus.token_count == len(tokens)
+    assert m.total > 0
+    assert peak <= 40 * len(tokens)
