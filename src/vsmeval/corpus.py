@@ -65,7 +65,7 @@ class Corpus:
 
     @property
     def sentences(self) -> tuple[tuple[str, ...], ...]:
-        words = list(map(self.types.__getitem__, self.ids.tolist()))
+        words = np.array(self.types, dtype=object)[self.ids].tolist()
         bounds = self.offsets.tolist()
         return tuple(tuple(words[a:b]) for a, b in zip(bounds, bounds[1:]))
 
@@ -125,9 +125,9 @@ def clean_tokens(
             stem_of[i] = stems[porter_stem(tok)]
     ids = stem_of[corpus.ids]
     kept = ids >= 0
-    # kept tokens before each old boundary; an empty sentence repeats one
-    bounds = np.searchsorted(np.flatnonzero(kept), corpus.offsets)
-    bounds = bounds[np.concatenate(([True], bounds[1:] > bounds[:-1]))]
+    # kept tokens before each old boundary; a sentence left empty repeats
+    # its start, so the distinct counts are the new offsets
+    bounds = np.unique(np.searchsorted(np.flatnonzero(kept), corpus.offsets))
     return Corpus(corpus.language, tuple(stems), ids[kept], bounds)
 
 
