@@ -28,6 +28,10 @@ assembled on the calling thread, so they do not depend on the number of
 workers. Spearman rho is Pearson on average ranks; the rank kernel
 (``stats.column_ranks``) and the quintile block overlaps
 (``stats.quintile_overlaps``) live in ``stats``.
+
+``qc`` (``apply_outlier_filter``) screens each batch's annotators in one
+loop: the single-pass screen is its first step, and ``iterate`` goes on
+re-screening the kept columns.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -152,17 +156,15 @@ def detect_outliers(
     # zero-spread cutoff relative to the score scale; the statistic is a
     # ratio of spreads, so exact agreement must not amplify rounding noise
     tol = 1e-9 * max(1.0, float(np.abs(means).max()))
-    stats = np.empty(m)
-    for j in range(m):
-        others = np.delete(means, j)
-        spread = others.std(ddof=1)
-        diff = abs(means[j] - others.mean())
-        if spread <= tol:
-            stats[j] = np.inf if diff > tol else 0.0
-        else:
-            stats[j] = diff / spread
-    excluded = tuple(int(j) for j in range(m) if stats[j] > threshold)
-    kept = tuple(int(j) for j in range(m) if stats[j] <= threshold)
+    # row j holds the means of every column but j, in column order
+    others = np.tile(means, (m, 1))[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+    spread = others.std(axis=1, ddof=1)
+    diff = np.abs(means - others.mean(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stats = np.where(spread <= tol, np.where(diff > tol, np.inf, 0.0),
+                         diff / spread)
+    excluded = tuple(np.flatnonzero(stats > threshold).tolist())
+    kept = tuple(np.flatnonzero(stats <= threshold).tolist())
     return OutlierResult(kept=kept, excluded=excluded, statistics=stats,
                          screened=tuple(range(m)))
 
@@ -269,17 +271,10 @@ def _split_means(sets: list[EvaluationSet], K: int, complement: bool,
 def _report(label: str, rhos) -> AgreementReport:
     """Concatenate per-batch rho arrays, dropping and counting the
     degenerate (NaN) samples rather than imputing them."""
-    samples = []
-    degenerate = 0
-    for rho in rhos:
-        bad = np.isnan(rho)
-        degenerate += int(bad.sum())
-        samples.append(rho[~bad])
-    return AgreementReport(
-        label=label,
-        samples=np.concatenate(samples),
-        degenerate_count=degenerate,
-    )
+    rho = np.concatenate(rhos)
+    bad = np.isnan(rho)
+    return AgreementReport(label=label, samples=rho[~bad],
+                           degenerate_count=int(bad.sum()))
 
 
 def _agreement_reports(sets: list[EvaluationSet], K: int, within: bool):
@@ -359,16 +354,12 @@ def significance_driver(
     _check_sets(sets)
     check_one_per_language(sets, "evaluation set")
     within_reports, cross_reports = _agreement_reports(sets, K, within=True)
-    within = {s.language: r for s, r in zip(sets, within_reports)}
-    cross = {
-        (s1.language, s2.language): r
-        for (s1, s2), r in zip(itertools.combinations(sets, 2),
-                               cross_reports)
-    }
+    cross = [((s1.language, s2.language), r) for (s1, s2), r in
+             zip(itertools.combinations(sets, 2), cross_reports)]
     return {
-        (lang, *pair): agreement_significance(w_report, c_report)
-        for lang, w_report in within.items()
-        for pair, c_report in cross.items()
+        (s.language, *pair): agreement_significance(w_report, c_report)
+        for s, w_report in zip(sets, within_reports)
+        for pair, c_report in cross
     }
 
 
@@ -507,46 +498,31 @@ def apply_outlier_filter(
     """Run the outlier screen per batch and drop excluded annotators.
 
     Default is the single-pass mode (statistics computed before any
-    exclusion); ``iterate`` repeats until a fixpoint. The cleaned set
-    keeps each batch's surviving columns left-packed; shorter batches are
-    NaN-padded so the table stays rectangular. A column with no judgment
-    in a batch is such padding, not an annotator, and is not screened.
+    exclusion); ``iterate`` re-screens the kept columns until a fixpoint
+    or fewer than 3 remain. The cleaned set keeps each batch's surviving
+    columns left-packed; shorter batches are NaN-padded so the table
+    stays rectangular. A column with no judgment in a batch is such
+    padding, not an annotator, and is not screened.
     """
     results: dict[int, OutlierResult] = {}
-    kept_per_batch = []
-    for b in range(len(evaluation_set.batches)):
+    cleaned = np.full(evaluation_set.scores.shape, np.nan)
+    for b, positions in enumerate(evaluation_set.batches):
         matrix = evaluation_set.batch_matrix(b)
         present = np.flatnonzero(~np.isnan(matrix).all(axis=0)).tolist()
-        result = detect_outliers(matrix[:, present], threshold)
-        kept = [present[j] for j in result.kept]
-        excluded = [present[j] for j in result.excluded]
-        if iterate:
-            while len(kept) >= 3:
-                sub = detect_outliers(matrix[:, kept], threshold)
-                if not sub.excluded:
-                    break
-                kept = [kept[j] for j in sub.kept]
-            excluded = [j for j in present if j not in kept]
-        result = OutlierResult(kept=tuple(kept), excluded=tuple(excluded),
-                               statistics=result.statistics,
-                               screened=tuple(present))
-        if not result.kept:
+        first = detect_outliers(matrix[:, present], threshold)
+        kept = [present[j] for j in first.kept]
+        while iterate and len(kept) >= 3:
+            again = detect_outliers(matrix[:, kept], threshold)
+            if not again.excluded:
+                break
+            kept = [kept[j] for j in again.kept]
+        if not kept:
             raise ValidationError(
-                f"threshold {threshold!r} keeps no annotator of "
-                f"batch {b}"
-            )
-        results[b] = result
-        kept_per_batch.append(result.kept)
-    width = max(len(k) for k in kept_per_batch)
-    cleaned = np.full((len(evaluation_set.pairs), width), np.nan)
-    for b, kept in enumerate(kept_per_batch):
-        positions = list(evaluation_set.batches[b])
-        cleaned[np.ix_(positions, range(len(kept)))] = \
-            evaluation_set.scores[np.ix_(positions, list(kept))]
-    cleaned_set = EvaluationSet(
-        language=evaluation_set.language,
-        pairs=evaluation_set.pairs,
-        scores=cleaned,
-        batches=evaluation_set.batches,
-    )
-    return cleaned_set, results
+                f"threshold {threshold!r} keeps no annotator of batch {b}")
+        results[b] = OutlierResult(
+            kept=tuple(kept),
+            excluded=tuple(j for j in present if j not in kept),
+            statistics=first.statistics, screened=tuple(present))
+        cleaned[np.ix_(positions, range(len(kept)))] = matrix[:, kept]
+    width = max(len(r.kept) for r in results.values())
+    return replace(evaluation_set, scores=cleaned[:, :width]), results

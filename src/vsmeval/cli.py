@@ -8,6 +8,7 @@ error, 3 data/format error, 4 numerical degeneracy.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import chain
 
@@ -467,10 +468,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_distinct_outputs(args) -> None:
+    """Refuse two output options that name one file, before any input
+    is read: the second write would replace the first."""
+    seen = {}
+    for name in ("out", "samples_out", "log", "model_out", "report_out"):
+        path = getattr(args, name, None)
+        if path is None:
+            continue
+        option = "--" + name.replace("_", "-")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ArgumentError(f"{seen[real]} and {option} name one file: "
+                                f"{path}")
+        seen[real] = option
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_distinct_outputs(args)
         return args.func(args)
     except (ArgumentError, ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

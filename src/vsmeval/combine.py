@@ -314,11 +314,19 @@ def monolingual_baseline(
 def save_cca_model(model: CcaModel, path) -> None:
     """Text dump: header ``l1 l2 d1 d2 m eps 1`` (the 1: rows are
     unit-normalised before projecting) then means, correlations and the
-    two projection matrices row by row."""
+    two projection matrices row by row. A model without a component, or
+    with a value that is not finite, which ``load_cca_model`` refuses, is
+    refused before the file is opened."""
     for language in model.languages:
         if language.split() != [language]:
             raise FormatError(f"language code {language!r} is empty or "
                               "contains whitespace", path=path)
+    if model.n_components == 0:
+        raise FormatError("a CCA model needs a component", path=path)
+    arrays = (model.mean_1, model.mean_2, model.correlations,
+              model.projection_1, model.projection_2, model.regularization)
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise FormatError("non-finite value in the CCA model", path=path)
     d1 = model.projection_1.shape[0]
     d2 = model.projection_2.shape[0]
     header = (f"{model.languages[0]} {model.languages[1]} "

@@ -155,8 +155,9 @@ def read_pair_list(path) -> WordPairList:
 def write_scores(scores: ScoreVector, pairs: WordPairList, path,
                  header_lines=()) -> None:
     """TSV dump ``pair_index word1 word2 score``; skipped pairs appear as
-    trailing ``#OOV`` comment lines. A non-finite score and a word holding
-    a tab or a line break, which ``read_scores`` refuses, are refused
+    trailing ``#OOV`` comment lines. A non-finite score, a word holding
+    a tab or a line break, which ``read_scores`` refuses, and an OOV word
+    holding the ``,`` that joins them, which it would split, are refused
     before the file is opened."""
     word_of = dict(zip(pairs.source_ids, pairs.pairs))
     lines = ["pair_index\tword1\tword2\tscore"]
@@ -169,6 +170,10 @@ def write_scores(scores: ScoreVector, pairs: WordPairList, path,
     for idx in sorted(scores.skipped):
         w1, w2 = word_of.get(idx, ("?", "?"))
         check_cells((w1, w2, *scores.skipped[idx]), path)
+        for word in scores.skipped[idx]:
+            if "," in word:
+                raise FormatError(f"OOV word {word!r} of pair {idx} holds "
+                                  "','", path=path)
         missing = ",".join(scores.skipped[idx])
         lines.append(f"#OOV\t{idx}\t{w1}\t{w2}\t{missing}")
     write_lines(path, lines, header_lines)

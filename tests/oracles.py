@@ -8,7 +8,9 @@ word2vec text with one ``str.split`` per line into a dict of vectors;
 ``porter_stem_reference`` is the Porter stemmer as first written, one
 recursive consonant test per letter and every table entry tried in turn.
 ``ppmi_dense_reference`` is PPMI as first written, over the dense count
-matrix with every cell's log taken.
+matrix with every cell's log taken. ``outlier_statistics_bruteforce`` is
+the annotator outlier statistic as first written, one ``np.delete`` per
+column.
 """
 
 import math
@@ -100,6 +102,26 @@ def welch_p_quadrature(a, b):
     t = (a.mean() - b.mean()) / math.sqrt(sa + sb)
     df = (sa + sb) ** 2 / (sa**2 / (len(a) - 1) + sb**2 / (len(b) - 1))
     return 2.0 * t_sf_quadrature(abs(t), df)
+
+
+def outlier_statistics_bruteforce(batch_scores):
+    """The annotator outlier statistic of each column, one column at a
+    time: |mean_j - mean of the others' means| over the sample standard
+    deviation of the others' means, +inf or 0 when their spread is zero
+    (the same zero-spread cutoff as ``detect_outliers``)."""
+    batch_scores = np.ascontiguousarray(batch_scores, dtype=float)
+    means = np.nanmean(batch_scores, axis=0)
+    tol = 1e-9 * max(1.0, float(np.abs(means).max()))
+    stats = np.empty(len(means))
+    for j in range(len(means)):
+        others = np.delete(means, j)
+        spread = others.std(ddof=1)
+        diff = abs(means[j] - others.mean())
+        if spread <= tol:
+            stats[j] = np.inf if diff > tol else 0.0
+        else:
+            stats[j] = diff / spread
+    return stats
 
 
 def cooccurrence_bruteforce(sentences, targets, contexts, window):

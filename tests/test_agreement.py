@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from scipy.stats import rankdata
 
 from vsmeval import agreement
@@ -35,10 +35,39 @@ from vsmeval.scoring import WordPairList
 from vsmeval.stats import column_ranks, quintile_overlaps, spearman
 
 from conftest import LINE_READER_CHARACTERS, make_evalset, synthetic_languages
-from oracles import spearman_bruteforce
+from oracles import outlier_statistics_bruteforce, spearman_bruteforce
+
+
+@st.composite
+def _outlier_batches(draw):
+    """One batch of 3 to 20 annotator columns with empty (NaN) cells,
+    tied and constant columns, and a judgment in every column."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(3, 20))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = r.uniform(0, 10, size=(n, m))
+    if draw(st.booleans()):  # integer judgments tie often
+        scores = np.rint(scores)
+    pick = st.integers(0, m - 1)
+    for j, k in draw(st.lists(st.tuples(pick, pick), max_size=4)):
+        scores[:, j] = scores[:, k]
+    for j in draw(st.lists(pick, max_size=3)):
+        scores[:, j] = scores[0, j]
+    scores[r.random((n, m)) < draw(st.sampled_from([0.0, 0.2, 0.6]))] = \
+        np.nan
+    # an all-empty column would make nanmean warn
+    empty = np.isnan(scores).all(axis=0)
+    scores[0, empty] = r.integers(0, 11, size=empty.sum())
+    return scores
 
 
 class TestOutliers:
+    @settings(max_examples=300, deadline=None)
+    @given(scores=_outlier_batches())
+    def test_statistics_equal_the_per_column_loop(self, scores):
+        result = detect_outliers(scores, threshold=np.inf)
+        assert result.statistics.tobytes() == \
+            outlier_statistics_bruteforce(scores).tobytes()
+
     def test_identical_annotators_keep_everyone(self):
         scores = np.full((50, 13), 5.0)
         result = detect_outliers(scores)
@@ -709,6 +738,26 @@ class TestOutlierFilter:
                            match=f"threshold {threshold!r} .* batch 0"):
             apply_outlier_filter(evalset, threshold=threshold,
                                  iterate=iterate)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scores=_outlier_batches(), threshold=st.floats(0.5, 3.0))
+    def test_iterate_partitions_the_screened_columns(self, scores,
+                                                     threshold):
+        try:
+            cleaned, results = apply_outlier_filter(
+                make_evalset(scores, batch_size=len(scores)),
+                threshold=threshold, iterate=True)
+        except ValidationError:  # no annotator kept
+            assume(False)
+        result = results[0]
+        kept, excluded = list(result.kept), list(result.excluded)
+        assert kept == sorted(set(kept)) and excluded == sorted(set(excluded))
+        assert not set(kept) & set(excluded)
+        assert sorted(kept + excluded) == list(result.screened)
+        if len(kept) >= 3:
+            assert detect_outliers(scores[:, kept], threshold).excluded == ()
+        assert np.array_equal(cleaned.scores, scores[:, kept],
+                              equal_nan=True)
 
     def test_iterate_mode_reaches_fixpoint(self):
         cleaned, results = apply_outlier_filter(self._planted(),

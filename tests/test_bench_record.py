@@ -66,3 +66,22 @@ def test_record_refuses_a_single_seed():
     with pytest.raises(SystemExit, match="bow_build: .* two untraced seeds"):
         record({"parent": _untraced_results("p", {1: 2.0}),
                 "change": _untraced_results("c", {1: 1.0})})
+
+
+@pytest.mark.parametrize("parent, change, message", [
+    ({1: "p", 2: "p"}, {1: "p", 2: "p"},
+     "parent and change results name one commit, p"),
+    ({1: "p", 2: "q"}, {1: "c", 2: "c"},
+     "parent results name more than one commit: p, q"),
+    ({1: "p", 2: "p"}, {1: "c", 2: "p"},
+     "change results name more than one commit: c, p"),
+], ids=["one-commit", "mixed-parent", "mixed-change"])
+def test_record_refuses_mixed_commits(parent, change, message):
+    record = _bench_record().record
+    results = {}
+    for side, commits in (("parent", parent), ("change", change)):
+        results[side] = _untraced_results(side, {1: 2.0, 2: 4.0})
+        for result in results[side]:
+            result["environment"]["commit"] = commits[result["seed"]]
+    with pytest.raises(SystemExit, match=f"^{message}$"):
+        record(results)

@@ -582,6 +582,28 @@ def test_lexicon_without_a_vectors_language_exit_3(workspace, capsys):
     assert "'fr'" in err and "en, de" in err
 
 
+@pytest.mark.parametrize("make_argv, options", [
+    (lambda ws, x, y: ["agree", "--mode", "within", "--evalset",
+                       f"en={ws / 'evalset.tsv'}", "--out", x,
+                       "--samples-out", y], "--out and --samples-out"),
+    (lambda ws, x, y: ["qc", "--scores", str(ws / "evalset.tsv"),
+                       "--out", x, "--log", y], "--out and --log"),
+    (lambda ws, x, y: _cca_argv(ws, "--model-out", x, "--report-out", y),
+     "--model-out and --report-out"),
+], ids=["agree", "qc", "combine-cca"])
+def test_two_outputs_on_one_path_exit_2_before_any_write(workspace, capsys,
+                                                         make_argv, options):
+    # the second spelling of the path resolves to the first; the refusal
+    # comes before any input is read or any output written
+    target = workspace / "same.tsv"
+    argv = make_argv(workspace, str(target),
+                     str(workspace / "." / "same.tsv"))
+    assert main(argv) == 2
+    assert f"{options} name one file" in capsys.readouterr().err
+    assert not target.exists()
+    assert not (workspace / "c.txt").exists()
+
+
 @pytest.mark.parametrize("entry, noun", [
     ("significance_driver", "evaluation set"),
     ("coverage", "vector table"),

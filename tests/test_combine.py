@@ -272,6 +272,31 @@ class TestCcaModelIO:
             save_cca_model(model, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("field", ["mean_1", "correlations",
+                                       "projection_2", "regularization"])
+    def test_non_finite_value_rejected(self, tmp_path, rng, field):
+        # load_cca_model refuses the line holding it
+        model = fit_cca(rng.normal(size=(20, 3)), rng.normal(size=(20, 3)))
+        if field == "regularization":
+            model.regularization = float("inf")
+        else:
+            getattr(model, field).flat[0] = np.nan
+        path = tmp_path / "model.txt"
+        with pytest.raises(FormatError, match="non-finite value"):
+            save_cca_model(model, path)
+        assert not path.exists()
+
+    def test_model_without_a_component_rejected(self, tmp_path, rng):
+        # its rows would be blank lines, which the reader skips
+        model = fit_cca(rng.normal(size=(20, 3)), rng.normal(size=(20, 3)))
+        model.projection_1 = model.projection_1[:, :0]
+        model.projection_2 = model.projection_2[:, :0]
+        model.correlations = model.correlations[:0]
+        path = tmp_path / "model.txt"
+        with pytest.raises(FormatError, match="needs a component"):
+            save_cca_model(model, path)
+        assert not path.exists()
+
     def test_ragged_row_rejected(self, tmp_path, rng):
         model = fit_cca(rng.normal(size=(20, 3)), rng.normal(size=(20, 3)))
         path = tmp_path / "model.txt"

@@ -201,6 +201,17 @@ def test_write_scores_refuses_a_word_with_a_tab_or_line_break(
     assert not path.exists()
 
 
+def test_write_scores_refuses_an_oov_word_with_a_comma(tmp_path):
+    # the OOV words of a pair are joined with ",", so "a,b" would read
+    # back as ("a", "b")
+    path = tmp_path / "scores.tsv"
+    with pytest.raises(FormatError) as info:
+        write_scores(ScoreVector({0: 0.5}, skipped={1: ("c", "a,b")}),
+                     _pairlist([("a", "b"), ("c", "a,b")]), path)
+    assert str(info.value) == f"OOV word 'a,b' of pair 1 holds ',' [{path}]"
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("second", ["1\tcat\tdog\t0.7",
                                     "#OOV\t1\tcat\tdog\tdog"])
 def test_read_scores_refuses_a_repeated_pair_index(tmp_path, second):

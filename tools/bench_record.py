@@ -6,7 +6,11 @@
 
 Each ``--parent`` / ``--change`` file is a ``perfbench/run.py`` result,
 ``perfbench/.work/result-<workload>-trace<n>.json``, copied aside after
-its run (the next run of that workload overwrites it). Untraced results
+its run (the next run of that workload overwrites it). The results of
+one side must name one commit, and the two sides different ones; a run
+of uncommitted code is filed under its parent's commit, so set the
+change side's ``environment.commit`` to the change's commit before
+recording. Untraced results
 give, per workload and side, the median and quartiles of every end-to-end
 metric declared in ``BENCHMARK.json`` over the seeds run (at least
 two), and how many seeds the change won; one traced result per workload
@@ -57,8 +61,15 @@ def record(results: dict[str, list[dict]]) -> dict:
     end_to_end, per_layer = declared()
     out = {"sides": {}, "workloads": {}}
     for side in SIDES:
+        commits = sorted({r["environment"]["commit"] for r in results[side]})
+        if len(commits) > 1:
+            raise SystemExit(f"{side} results name more than one commit: "
+                             f"{', '.join(commits)}")
         env = results[side][0]["environment"]
         out["sides"][side] = {"commit": env["commit"], "environment": env}
+    if out["sides"]["parent"]["commit"] == out["sides"]["change"]["commit"]:
+        raise SystemExit("parent and change results name one commit, "
+                         f"{out['sides']['parent']['commit']}")
     names = sorted({r["workload"] for side in SIDES for r in results[side]})
     for name in names:
         untraced = {side: {r["seed"]: r for r in results[side]
