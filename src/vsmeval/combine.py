@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
-import scipy.linalg
 
 from .corpus import Corpus, sample_corpus
 from .errors import (
@@ -79,12 +78,6 @@ def interpolate_scores(
     return ScoreVector(scores=combined)
 
 
-def _isqrt_psd(c: np.ndarray) -> np.ndarray:
-    evals, evecs = scipy.linalg.eigh(c)
-    evals = np.maximum(evals, np.finfo(float).tiny)
-    return evecs @ ((evecs / np.sqrt(evals)).T)
-
-
 def fit_cca(
     X: np.ndarray,
     Y: np.ndarray,
@@ -93,11 +86,17 @@ def fit_cca(
     languages: tuple[str, str] = ("l1", "l2"),
 ) -> CcaModel:
     """Canonical correlation analysis via whitening + SVD of the
-    cross-covariance.
+    cross-covariance, worked in each view's row space.
 
     Columns are mean-centered; both covariance matrices get ``eps`` added
-    to the diagonal so rank-deficient inputs stay well-posed. Canonical
-    correlations are the singular values clipped to [0, 1].
+    to the diagonal so rank-deficient inputs stay well-posed. Each
+    centered view is whitened through its thin SVD ``U S Vt``: the weight
+    ``1 / sqrt(s**2 / (n - 1) + eps)`` of each right singular vector is
+    the inverse square root of the covariance on that direction, so no
+    d x d matrix is formed. Canonical correlations are the singular
+    values of the whitened cross-covariance, clipped to [0, 1]. There are
+    min(n, d1, d2) of them: with fewer rows than both widths the others
+    are 0 in exact arithmetic and are not returned.
     """
     if components is not None and components < 1:
         raise ArgumentError(f"components must be >= 1, got {components}")
@@ -116,21 +115,23 @@ def fit_cca(
     Yc = Y - mean_y
     if not (np.any(Xc) and np.any(Yc)):
         raise DegenerateError("rank-0 input: a view is constant")
+    import scipy.linalg
+
     denom = n - 1
-    cxx = Xc.T @ Xc / denom + eps * np.eye(X.shape[1])
-    cyy = Yc.T @ Yc / denom + eps * np.eye(Y.shape[1])
-    cxy = Xc.T @ Yc / denom
-    isqrt_x = _isqrt_psd(cxx)
-    isqrt_y = _isqrt_psd(cyy)
-    u, s, vt = scipy.linalg.svd(isqrt_x @ cxy @ isqrt_y,
-                                full_matrices=False)
+    tiny = np.finfo(float).tiny
+    ux, sx, vxt = scipy.linalg.svd(Xc, full_matrices=False)
+    uy, sy, vyt = scipy.linalg.svd(Yc, full_matrices=False)
+    wx = 1.0 / np.sqrt(np.maximum(sx * sx / denom + eps, tiny))
+    wy = 1.0 / np.sqrt(np.maximum(sy * sy / denom + eps, tiny))
+    core = (wx * sx)[:, None] * (ux.T @ uy) * (sy * wy) / denom
+    u, s, vt = scipy.linalg.svd(core, full_matrices=False)
     m = len(s) if components is None else min(components, len(s))
     return CcaModel(
         languages=languages,
         mean_1=mean_x,
         mean_2=mean_y,
-        projection_1=isqrt_x @ u[:, :m],
-        projection_2=isqrt_y @ vt[:m].T,
+        projection_1=(vxt.T * wx) @ u[:, :m],
+        projection_2=(vyt.T * wy) @ vt[:m].T,
         correlations=np.clip(s[:m], 0.0, 1.0),
         regularization=eps,
     )
@@ -167,6 +168,8 @@ def _reduce(M: np.ndarray, max_dim: int | None):
     (mean, components) used; M and None when it is no wider."""
     if max_dim is None or M.shape[1] <= max_dim:
         return M, None
+    import scipy.linalg
+
     mean = M.mean(axis=0)
     _, _, vt = scipy.linalg.svd(M - mean, full_matrices=False)
     comps = vt[:max_dim].T
@@ -231,11 +234,11 @@ def project_concat(
     if side != "l1":
         halves.append((Y, model.mean_2, model.projection_2))
     last_row = {w: i for i, w in enumerate(lexicon.column(t1.language))}
-    matrix = np.empty((len(last_row), model.n_components * len(halves)))
-    for out, i in zip(matrix, last_row.values()):
-        # one row at a time: a matrix product changes the last bits
-        out[:] = np.concatenate([(M[i] - mean) @ projection
-                                 for M, mean, projection in halves])
+    rows = list(last_row.values())
+    # a stack of 1 x d products: each row is its own vector-matrix
+    # product, as for one row alone; a matrix product changes the last bits
+    matrix = np.hstack([((M - mean)[:, None, :] @ projection)[rows, 0, :]
+                        for M, mean, projection in halves])
     return VectorTable(t1.language, tuple(last_row), matrix)
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import ArgumentError, ConstantInputError, DegenerateError, \
     ValidationError
@@ -178,6 +177,8 @@ def student_t_sf(t: float, df: float) -> float:
     regularized incomplete beta function."""
     if df <= 0:
         raise ArgumentError("degrees of freedom must be positive")
+    from scipy.special import betainc
+
     x = df / (df + t * t)
     tail = 0.5 * betainc(df / 2.0, 0.5, x)
     return tail if t >= 0 else 1.0 - tail

@@ -370,14 +370,15 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    # bow keeps its counts as plain numpy triplets, not scipy.sparse
+def test_cli_import_leaves_scipy_out():
+    # bow keeps its counts as plain numpy triplets, not scipy.sparse, and
+    # only the CCA fit, its principal-axis cut and the Welch test import
+    # scipy, when they run
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run(
         [sys.executable, "-c",
-         "import vsmeval.cli, sys; assert 'scipy.stats' not in sys.modules; "
-         "assert 'scipy.sparse' not in sys.modules"],
+         "import vsmeval.cli, sys; assert 'scipy' not in sys.modules"],
         env=env, check=True,
     )
 
@@ -488,6 +489,24 @@ def test_qc_on_qc_output_skips_padding_columns(tmp_path, capsys):
     assert len(rows) == 12 + 13
     assert all(stat != "nan" and verdict == "kept"
                for _, _, stat, verdict in rows)
+
+
+def test_qc_on_an_iterated_output_names_the_short_batch(tmp_path, capsys):
+    # annotator means spread evenly: --iterate keeps peeling the extremes
+    # until batch 0 holds 2 annotators, which a second qc cannot screen
+    rng = np.random.default_rng(4)
+    scores = np.clip(rng.uniform(3, 7, size=(100, 1))
+                     + np.linspace(-0.6, 0.6, 13)
+                     + rng.normal(0, 0.1, size=(100, 13)), 0, 10)
+    raw, once, twice = (tmp_path / name for name in ("raw.tsv", "once.tsv",
+                                                     "twice.tsv"))
+    save_evaluation_set(make_evalset(scores), raw)
+    assert main(["qc", "--scores", str(raw), "--out", str(once),
+                 "--iterate", "--threshold", "1.0"]) == 0
+    capsys.readouterr()
+    assert main(["qc", "--scores", str(once), "--out", str(twice)]) == 2
+    assert "batch 0 holds 2 annotators" in capsys.readouterr().err
+    assert not twice.exists()
 
 
 def test_qc_screens_a_column_on_its_present_judgments(tmp_path, capsys):

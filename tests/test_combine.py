@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -126,6 +128,37 @@ class TestCca:
             fit_cca(np.zeros((1, 3)), np.zeros((1, 3)))
         with pytest.raises(DegenerateError):
             fit_cca(np.ones((5, 3)), rng.normal(size=(5, 3)))
+
+    def test_wide_views_match_their_row_space(self, rng):
+        # X = Z A and Y = W B with orthonormal rows in A and B: the views
+        # are wider than they are tall, and their canonical correlations
+        # are those of (Z, W), then zeros, one per row
+        for _ in range(10):
+            n = int(rng.integers(20, 40))
+            r, q = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+            d1, d2 = int(rng.integers(n + 1, 90)), int(rng.integers(n + 1, 90))
+            Z, W = rng.normal(size=(n, r)), rng.normal(size=(n, q))
+            W[:, 0] += Z[:, 0]
+            A = np.linalg.qr(rng.normal(size=(d1, r)))[0].T
+            B = np.linalg.qr(rng.normal(size=(d2, q)))[0].T
+            model = fit_cca(Z @ A, W @ B)
+            expected = cca_correlations_eigen(Z, W)
+            lead = len(expected)
+            assert model.n_components == min(n, d1, d2)
+            assert np.allclose(model.correlations[:lead], expected,
+                               rtol=0, atol=1e-10)
+            assert np.all(model.correlations[lead:] <= 1e-8)
+
+    def test_fit_allocates_no_width_squared_matrix(self, rng):
+        d = 1500
+        X, Y = rng.normal(size=(40, d)), rng.normal(size=(40, d))
+        tracemalloc.start()
+        try:
+            fit_cca(X, Y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < d * d * 8
 
     def test_components_cap(self, rng):
         X = rng.normal(size=(30, 6))
