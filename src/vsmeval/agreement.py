@@ -510,9 +510,8 @@ def apply_outlier_filter(
         matrix = evaluation_set.batch_matrix(b)
         present = np.flatnonzero(~np.isnan(matrix).all(axis=0)).tolist()
         if len(present) < 3:
-            raise ArgumentError(
-                f"batch {b} holds {len(present)} annotators; outlier "
-                "detection needs at least 3")
+            raise ArgumentError(f"batch {b} holds {len(present)} annotators;"
+                                " outlier detection needs at least 3")
         first = detect_outliers(matrix[:, present], threshold)
         kept = [present[j] for j in first.kept]
         while iterate and len(kept) >= 3:

@@ -85,18 +85,14 @@ def fit_cca(
     components: int | None = None,
     languages: tuple[str, str] = ("l1", "l2"),
 ) -> CcaModel:
-    """Canonical correlation analysis via whitening + SVD of the
-    cross-covariance, worked in each view's row space.
+    """Canonical correlation analysis: each view is whitened through its
+    thin SVD U S Vt, and the whitened cross-covariance is factored by SVD.
 
     Columns are mean-centered; both covariance matrices get ``eps`` added
-    to the diagonal so rank-deficient inputs stay well-posed. Each
-    centered view is whitened through its thin SVD ``U S Vt``: the weight
-    ``1 / sqrt(s**2 / (n - 1) + eps)`` of each right singular vector is
-    the inverse square root of the covariance on that direction, so no
-    d x d matrix is formed. Canonical correlations are the singular
-    values of the whitened cross-covariance, clipped to [0, 1]. There are
-    min(n, d1, d2) of them: with fewer rows than both widths the others
-    are 0 in exact arithmetic and are not returned.
+    to the diagonal so rank-deficient inputs stay well-posed: row i of Vt
+    is weighted by 1 / sqrt(s_i**2 / (n - 1) + eps), and no d x d matrix
+    is formed. The min(n, d1, d2) canonical correlations are the singular
+    values clipped to [0, 1].
     """
     if components is not None and components < 1:
         raise ArgumentError(f"components must be >= 1, got {components}")
@@ -116,7 +112,6 @@ def fit_cca(
     if not (np.any(Xc) and np.any(Yc)):
         raise DegenerateError("rank-0 input: a view is constant")
     import scipy.linalg
-
     denom = n - 1
     tiny = np.finfo(float).tiny
     ux, sx, vxt = scipy.linalg.svd(Xc, full_matrices=False)
@@ -169,7 +164,6 @@ def _reduce(M: np.ndarray, max_dim: int | None):
     if max_dim is None or M.shape[1] <= max_dim:
         return M, None
     import scipy.linalg
-
     mean = M.mean(axis=0)
     _, _, vt = scipy.linalg.svd(M - mean, full_matrices=False)
     comps = vt[:max_dim].T
@@ -235,8 +229,7 @@ def project_concat(
         halves.append((Y, model.mean_2, model.projection_2))
     last_row = {w: i for i, w in enumerate(lexicon.column(t1.language))}
     rows = list(last_row.values())
-    # a stack of 1 x d products: each row is its own vector-matrix
-    # product, as for one row alone; a matrix product changes the last bits
+    # a 1 x d product per row: a matrix product changes the last bits
     matrix = np.hstack([((M - mean)[:, None, :] @ projection)[rows, 0, :]
                         for M, mean, projection in halves])
     return VectorTable(t1.language, tuple(last_row), matrix)

@@ -178,7 +178,6 @@ def student_t_sf(t: float, df: float) -> float:
     if df <= 0:
         raise ArgumentError("degrees of freedom must be positive")
     from scipy.special import betainc
-
     x = df / (df + t * t)
     tail = 0.5 * betainc(df / 2.0, 0.5, x)
     return tail if t >= 0 else 1.0 - tail
