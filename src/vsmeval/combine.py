@@ -83,6 +83,7 @@ def fit_cca(
     Y: np.ndarray,
     eps: float = 1e-8,
     components: int | None = None,
+    max_dim: int | None = None,
     languages: tuple[str, str] = ("l1", "l2"),
 ) -> CcaModel:
     """Canonical correlation analysis: each view is whitened through its
@@ -91,11 +92,21 @@ def fit_cca(
     Columns are mean-centered; both covariance matrices get ``eps`` added
     to the diagonal so rank-deficient inputs stay well-posed: row i of Vt
     is weighted by 1 / sqrt(s_i**2 / (n - 1) + eps), and no d x d matrix
-    is formed. The min(n, d1, d2) canonical correlations are the singular
-    values clipped to [0, 1].
+    is formed. ``max_dim`` keeps only each view's leading ``max_dim``
+    singular directions, its principal axes; the projections still act on
+    the full width. The min(n, d1, d2, max_dim) canonical correlations are
+    the singular values clipped to [0, 1].
+
+    LAPACK's U, which depends on the BLAS thread count, is not used, and
+    the sums over rows and over singular directions run in ``einsum``,
+    whose order of addition threads do not change. The SVD of a large
+    view, and the product that forms the scores of a very wide one, can
+    still depend on the thread count.
     """
     if components is not None and components < 1:
         raise ArgumentError(f"components must be >= 1, got {components}")
+    if max_dim is not None and max_dim < 1:
+        raise ArgumentError(f"max_dim must be >= 1, got {max_dim}")
     if not 0.0 <= eps < np.inf:
         raise ArgumentError(f"eps must be finite and >= 0, got {eps}")
     X = np.asarray(X, dtype=float)
@@ -114,19 +125,22 @@ def fit_cca(
     import scipy.linalg
     denom = n - 1
     tiny = np.finfo(float).tiny
-    ux, sx, vxt = scipy.linalg.svd(Xc, full_matrices=False)
-    uy, sy, vyt = scipy.linalg.svd(Yc, full_matrices=False)
+    _, sx, vxt = scipy.linalg.svd(Xc, full_matrices=False)
+    _, sy, vyt = scipy.linalg.svd(Yc, full_matrices=False)
+    sx, vxt, sy, vyt = sx[:max_dim], vxt[:max_dim], sy[:max_dim], vyt[:max_dim]
     wx = 1.0 / np.sqrt(np.maximum(sx * sx / denom + eps, tiny))
     wy = 1.0 / np.sqrt(np.maximum(sy * sy / denom + eps, tiny))
-    core = (wx * sx)[:, None] * (ux.T @ uy) * (sy * wy) / denom
-    u, s, vt = scipy.linalg.svd(core, full_matrices=False)
+    # Xc Vt.T is U S, the scores of the view
+    core = np.einsum("ij,ik->jk", Xc @ vxt.T, Yc @ vyt.T)
+    u, s, vt = scipy.linalg.svd(wx[:, None] * core * wy / denom,
+                                full_matrices=False)
     m = len(s) if components is None else min(components, len(s))
     return CcaModel(
         languages=languages,
         mean_1=mean_x,
         mean_2=mean_y,
-        projection_1=(vxt.T * wx) @ u[:, :m],
-        projection_2=(vyt.T * wy) @ vt[:m].T,
+        projection_1=np.einsum("ij,jk->ik", vxt.T * wx, u[:, :m]),
+        projection_2=np.einsum("ij,jk->ik", vyt.T * wy, vt[:m].T),
         correlations=np.clip(s[:m], 0.0, 1.0),
         regularization=eps,
     )
@@ -158,27 +172,6 @@ def _unit_rows(M: np.ndarray) -> np.ndarray:
     return M / np.where(norms == 0, 1.0, norms)
 
 
-def _reduce(M: np.ndarray, max_dim: int | None):
-    """M projected onto its leading ``max_dim`` principal axes, with the
-    (mean, components) used; M and None when it is no wider."""
-    if max_dim is None or M.shape[1] <= max_dim:
-        return M, None
-    import scipy.linalg
-    mean = M.mean(axis=0)
-    _, _, vt = scipy.linalg.svd(M - mean, full_matrices=False)
-    comps = vt[:max_dim].T
-    return (M - mean) @ comps, (mean, comps)
-
-
-def _fold(pca, mean: np.ndarray, projection: np.ndarray):
-    """A side's CCA mean and projection over the dimensions its rows had
-    before ``_reduce`` gave ``pca``."""
-    if pca is None:
-        return mean, projection
-    pca_mean, comps = pca
-    return pca_mean + comps @ mean, comps @ projection
-
-
 def fit_cca_tables(
     t1: VectorTable,
     t2: VectorTable,
@@ -187,21 +180,12 @@ def fit_cca_tables(
     components: int | None = None,
     max_dim: int | None = None,
 ) -> CcaModel:
-    """fit_cca over lexicon-aligned table rows, with any dimensionality
-    cap folded back into the stored projection matrices so projection of
-    raw vectors remains a single centering + matrix product; rows wider
-    than ``max_dim`` are first cut to their leading principal axes."""
-    if max_dim is not None and max_dim < 1:
-        raise ArgumentError(f"max_dim must be >= 1, got {max_dim}")
-    (X, pca_1), (Y, pca_2) = (_reduce(M, max_dim)
-                              for M in aligned_matrices(t1, t2, lexicon))
-    model = fit_cca(X, Y, eps=eps, components=components,
-                    languages=(t1.language, t2.language))
-    model.mean_1, model.projection_1 = _fold(pca_1, model.mean_1,
-                                             model.projection_1)
-    model.mean_2, model.projection_2 = _fold(pca_2, model.mean_2,
-                                             model.projection_2)
-    return model
+    """fit_cca over the lexicon-aligned rows of ``aligned_matrices``; a
+    ``max_dim`` cap cuts each view's SVD inside fit_cca, so projecting raw
+    vectors stays a single centering + matrix product."""
+    X, Y = aligned_matrices(t1, t2, lexicon)
+    return fit_cca(X, Y, eps=eps, components=components, max_dim=max_dim,
+                   languages=(t1.language, t2.language))
 
 
 def project_concat(
@@ -310,23 +294,29 @@ def monolingual_baseline(
 def save_cca_model(model: CcaModel, path) -> None:
     """Text dump: header ``l1 l2 d1 d2 m eps 1`` (the 1: rows are
     unit-normalised before projecting) then means, correlations and the
-    two projection matrices row by row. A model without a component, or
-    with a value that is not finite, which ``load_cca_model`` refuses, is
-    refused before the file is opened."""
+    two projection matrices row by row. A model without a component or
+    without a dimension in a view, or with a value that is not finite,
+    which ``load_cca_model`` refuses, is refused before the file is
+    opened."""
     for language in model.languages:
         if language.split() != [language]:
             raise FormatError(f"language code {language!r} is empty or "
                               "contains whitespace", path=path)
     if model.n_components == 0:
         raise FormatError("a CCA model needs a component", path=path)
+    d1 = model.projection_1.shape[0]
+    d2 = model.projection_2.shape[0]
+    if 0 in (d1, d2):
+        # its mean row would be a blank line, which the reader skips
+        raise FormatError("a CCA model needs a dimension in each view",
+                          path=path)
     arrays = (model.mean_1, model.mean_2, model.correlations,
               model.projection_1, model.projection_2, model.regularization)
     if not all(np.isfinite(a).all() for a in arrays):
         raise FormatError("non-finite value in the CCA model", path=path)
-    d1 = model.projection_1.shape[0]
-    d2 = model.projection_2.shape[0]
+    eps = float(model.regularization)
     header = (f"{model.languages[0]} {model.languages[1]} "
-              f"{d1} {d2} {model.n_components} {model.regularization!r} 1")
+              f"{d1} {d2} {model.n_components} {eps!r} 1")
     vectors = chain((model.mean_1, model.mean_2, model.correlations),
                     model.projection_1, model.projection_2)
     rows = (" ".join(repr(float(v)) for v in vec) for vec in vectors)

@@ -166,7 +166,7 @@ def write_scores(scores: ScoreVector, pairs: WordPairList, path,
         check_cells((w1, w2), path)
         if not math.isfinite(scores.scores[idx]):
             raise FormatError(f"non-finite score for pair {idx}", path=path)
-        lines.append(f"{idx}\t{w1}\t{w2}\t{scores.scores[idx]!r}")
+        lines.append(f"{idx}\t{w1}\t{w2}\t{float(scores.scores[idx])!r}")
     for idx in sorted(scores.skipped):
         w1, w2 = word_of.get(idx, ("?", "?"))
         check_cells((w1, w2, *scores.skipped[idx]), path)

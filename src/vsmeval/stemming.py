@@ -1,8 +1,5 @@
-"""Porter stemmer (the classic 1980 algorithm) used as the default English
-stemmer for corpus cleaning.
-
-Any callable ``str -> str`` can be injected in its place for other
-languages.
+"""Porter stemmer (the classic 1980 algorithm): the English stemmer that
+corpus cleaning applies. No parameter takes another stemmer.
 """
 
 __all__ = ["porter_stem"]

@@ -370,10 +370,58 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="on one CPU OpenBLAS gave the same bytes under "
+                           "1 and 2 threads, so a fault cannot show")
+def test_cca_outputs_do_not_depend_on_the_blas_thread_count(workspace):
+    # OpenBLAS splits a long reduction over its threads, which changes
+    # the order of the additions; thousands of lexicon rows make one
+    rng = np.random.default_rng(11)
+    n, d = 3000, 100
+    words = [f"x{i}" for i in range(n)]
+    en = rng.normal(size=(n, d))
+    de = en @ np.linalg.qr(rng.normal(size=(d, d)))[0] \
+        + rng.normal(size=(n, d))
+    save_vectors(VectorTable("en", tuple(words), en), workspace / "en.txt")
+    save_vectors(VectorTable("de", tuple(words), de), workspace / "de.txt")
+    (workspace / "lexicon.tsv").write_text(
+        "en\tde\n" + "".join(f"{w}\t{w}\n" for w in words))
+    script = """if True:
+        import sys
+        from vsmeval.cli import main
+        out = sys.argv[1]
+        cca = ["combine", "--method", "cca", "--vectors", "en=en.txt",
+               "de=de.txt", "--lexicon", "lexicon.tsv"]
+        for argv in (
+            cca + ["--out", f"{out}/cca.txt", "--model-out",
+                   f"{out}/cca_model.txt", "--report-out", f"{out}/cca.tsv"],
+            cca + ["--max-dim", "50", "--out", f"{out}/cut.txt",
+                   "--model-out", f"{out}/cut_model.txt",
+                   "--report-out", f"{out}/cut.tsv"],
+            ["baseline", "--corpus", "corpus.txt", "--evalset",
+             "evalset.tsv", "--method", "cca", "--reps", "2", "--seed", "3",
+             "--k", "10", "--out", f"{out}/baseline.tsv"],
+        ):
+            assert main(argv) == 0, argv
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for threads in ("1", "2"):
+        out = workspace / f"out{threads}"
+        out.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", script, out.name],
+                       cwd=workspace, env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(outputs[0]) == 7
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_import_leaves_scipy_out():
     # bow keeps its counts as plain numpy triplets, not scipy.sparse, and
-    # only the CCA fit, its principal-axis cut and the Welch test import
-    # scipy, when they run
+    # only the CCA fit and the Welch test import scipy, when they run
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run(

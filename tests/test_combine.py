@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from vsmeval.combine import (
     BaselineResult,
+    CcaModel,
     TranslationLexicon,
     fit_cca,
     fit_cca_tables,
@@ -27,7 +28,13 @@ from vsmeval.errors import (
     FormatError,
     WordLookupError,
 )
-from vsmeval.scoring import ScoreVector, WordPairList, score_pairs
+from vsmeval.scoring import (
+    ScoreVector,
+    WordPairList,
+    read_scores,
+    score_pairs,
+    write_scores,
+)
 from vsmeval.stats import spearman
 from vsmeval.vectors import VectorTable
 
@@ -82,6 +89,15 @@ class TestInterpolation:
     def test_lambda_range(self):
         with pytest.raises(ArgumentError):
             interpolate_scores(_sv([1, 2]), _sv([1, 2]), 1.5)
+
+    def test_numpy_lambda_scores_read_back(self, tmp_path):
+        # a numpy lambda gives numpy scores, which the file holds as numbers
+        out = interpolate_scores(_sv([0.25, 0.5]), _sv([0.75, 1.0]),
+                                 np.float64(0.5))
+        path = tmp_path / "li.tsv"
+        write_scores(out, WordPairList((("a", "b"), ("c", "d")), (0, 1)),
+                     path)
+        assert read_scores(path).scores == {0: 0.5, 1: 0.75}
 
 
 class TestCca:
@@ -159,6 +175,39 @@ class TestCca:
         finally:
             tracemalloc.stop()
         assert peak < d * d * 8
+
+    @pytest.mark.parametrize("n, d1, d2, k", [
+        (60, 12, 9, 5), (60, 6, 5, 8), (60, 7, 7, 7), (8, 15, 12, 10),
+    ], ids=["cut-below-widths", "cut-above-widths", "cut-at-widths",
+            "rows-below-cut"])
+    def test_max_dim_is_cca_of_the_principal_scores(self, rng, n, d1, d2, k):
+        # each view cut to the scores on its k leading principal axes;
+        # centred rows span n - 1 dimensions, and past them the
+        # correlations are zeros
+        def scores(M):
+            Mc = M - M.mean(axis=0)
+            return Mc @ np.linalg.svd(Mc, full_matrices=False)[2][:k].T
+
+        for _ in range(10):
+            X, Y = rng.normal(size=(n, d1)), rng.normal(size=(n, d2))
+            Y[:, 0] += X[:, 0]
+            model = fit_cca(X, Y, max_dim=k)
+            expected = cca_correlations_eigen(scores(X), scores(Y))
+            lead = min(n - 1, d1, d2, k)
+            assert model.n_components == len(expected) == min(n, d1, d2, k)
+            assert np.allclose(model.correlations[:lead], expected[:lead],
+                               rtol=0, atol=1e-10)
+            assert np.all(model.correlations[lead:] <= 1e-8)
+            if k >= min(n, max(d1, d2)):
+                uncut = fit_cca(X, Y)
+                assert np.array_equal(model.projection_1, uncut.projection_1)
+                assert np.array_equal(model.correlations, uncut.correlations)
+
+    @pytest.mark.parametrize("max_dim", [0, -1])
+    def test_max_dim_below_one_rejected(self, rng, max_dim):
+        with pytest.raises(ArgumentError, match="max_dim must be >= 1"):
+            fit_cca(rng.normal(size=(10, 3)), rng.normal(size=(10, 3)),
+                    max_dim=max_dim)
 
     def test_components_cap(self, rng):
         X = rng.normal(size=(30, 6))
@@ -260,6 +309,26 @@ class TestProjectConcat:
         assert table.dimension == 2 * model.n_components
 
 
+_CELLS = st.text(st.sampled_from(LINE_READER_CHARACTERS), min_size=1,
+                 max_size=3)
+
+
+@st.composite
+def _cca_models(draw):
+    """Models of up to 3 x 3 projections, empty or not, with any floats:
+    NaN, infinities, -0.0 and subnormals, and a float or numpy eps."""
+    d1, d2, m = (draw(st.integers(0, 3)) for _ in range(3))
+
+    def array(*shape):
+        values = draw(st.lists(st.floats(), min_size=int(np.prod(shape)),
+                               max_size=int(np.prod(shape))))
+        return np.array(values, dtype=float).reshape(shape)
+
+    eps = draw(st.sampled_from([float, np.float64]))(draw(st.floats()))
+    return CcaModel((draw(_CELLS), draw(_CELLS)), array(d1), array(d2),
+                    array(d1, m), array(d2, m), array(m), eps)
+
+
 class TestCcaModelIO:
     def test_roundtrip(self, tmp_path, rng):
         t1, t2, lexicon = _aligned_tables(rng)
@@ -330,6 +399,43 @@ class TestCcaModelIO:
             save_cca_model(model, path)
         assert not path.exists()
 
+    def test_numpy_eps_read_back(self, tmp_path, rng):
+        model = fit_cca(rng.normal(size=(20, 3)), rng.normal(size=(20, 3)),
+                        eps=np.float64(1e-8))
+        path = tmp_path / "model.txt"
+        save_cca_model(model, path)
+        assert load_cca_model(path).regularization == 1e-8
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[
+        HealthCheck.function_scoped_fixture])
+    @given(model=_cca_models())
+    @example(model=CcaModel(("en", "de"), np.zeros(0), np.zeros(1),
+                            np.zeros((0, 1)), np.zeros((1, 1)), np.zeros(1),
+                            1e-8))
+    def test_roundtrip_property(self, tmp_path, model):
+        path = tmp_path / "model.txt"
+        path.unlink(missing_ok=True)
+        fields = ("mean_1", "mean_2", "projection_1", "projection_2",
+                  "correlations")
+        refused = (any(lang.split() != [lang] for lang in model.languages)
+                   or 0 in model.projection_1.shape + model.projection_2.shape
+                   or not all(np.isfinite(getattr(model, f)).all()
+                              for f in fields)
+                   or not np.isfinite(model.regularization))
+        if refused:
+            with pytest.raises(FormatError):
+                save_cca_model(model, path)
+            assert not path.exists()
+            return
+        save_cca_model(model, path)
+        again = load_cca_model(path)
+        assert again.languages == model.languages
+        for f in fields:
+            assert getattr(again, f).shape == getattr(model, f).shape
+            assert getattr(again, f).tobytes() == getattr(model, f).tobytes()
+        assert (np.float64(again.regularization).tobytes()
+                == np.float64(model.regularization).tobytes())
+
     def test_ragged_row_rejected(self, tmp_path, rng):
         model = fit_cca(rng.normal(size=(20, 3)), rng.normal(size=(20, 3)))
         path = tmp_path / "model.txt"
@@ -339,10 +445,6 @@ class TestCcaModelIO:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match=r"expected 3 values.*:6\]"):
             load_cca_model(path)
-
-
-_CELLS = st.text(st.sampled_from(LINE_READER_CHARACTERS), min_size=1,
-                 max_size=3)
 
 
 @st.composite
