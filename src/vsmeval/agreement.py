@@ -25,9 +25,14 @@ and the cross report of every pair of sets from those ranks;
 reads the same walk. Batches share no state and numpy releases the GIL
 in the sorts and products a batch spends its time in; the reports are
 assembled on the calling thread, so they do not depend on the number of
-workers. Spearman rho is Pearson on average ranks; the rank kernel
-(``stats.column_ranks``) and the quintile block overlaps
-(``stats.quintile_overlaps``) live in ``stats``.
+workers. Spearman rho is Pearson on average ranks, taken on the doubled
+centred ranks ``d = 2r - (n + 1)`` of ``stats.doubled_ranks``: exact
+integers, float32 up to n = 256 pairs a batch, where every sum of
+squares and of products is at most n(n - 1)^2 <= 2^24 and so exact in
+float32 in any order. Numerator and sums of squares are those of the
+ranks times 4, an exact power of two, so every rho has the bits Pearson
+on float64 ranks gives. The quintile block overlaps
+(``stats.quintile_overlaps``) live in ``stats`` too.
 
 ``qc`` (``apply_outlier_filter``) screens each batch's annotators in one
 loop: the single-pass screen is its first step, and ``iterate`` goes on
@@ -54,7 +59,7 @@ from .scoring import (ScoreVector, WordPairList, check_aligned,
                       check_one_per_language, record_pair_index)
 from .stats import (
     WelchResult,
-    column_ranks,
+    doubled_ranks,
     quintile_overlaps,
     welch_t_test,
 )
@@ -185,26 +190,26 @@ def _subset_membership(n: int, k: int) -> np.ndarray:
 
 
 def _centred_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column ranks minus their column mean, (n + 1)/2 (average ranks of
-    n rows sum to n(n + 1)/2), and each column's sum of squares; both
-    exact, since the ranks are half-integers."""
-    r = column_ranks(x)
-    r -= (len(r) + 1) / 2
-    return r, np.einsum("ij,ij->j", r, r)
+    """Doubled centred average ranks of the columns,
+    ``stats.doubled_ranks``, and each column's sum of their squares in
+    float64. Both are exact integers, so the sums do not depend on the
+    order the einsum adds in."""
+    d = doubled_ranks(x)
+    return d, np.einsum("ij,ij->j", d, d).astype(np.float64)
 
 
 def _ranked_spearman(
     a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
     """Spearman rho per column from two ``_centred_ranks`` results;
-    columns with a constant side come back NaN."""
-    (ra, ssa), (rb, ssb) = a, b
+    columns with a constant side come back NaN. Numerator and both sums
+    of squares are those of the centred ranks times 4, an exact power of
+    two, so rho has the bits Pearson on the ranks themselves gives."""
+    (da, ssa), (db, ssb) = a, b
     denom = np.sqrt(ssa * ssb)
-    # centred average ranks are multiples of 0.5, so each product is an
-    # exact multiple of 0.25 and every partial sum is exact: the einsum
-    # gives the same bits in whatever order it adds, without building
-    # the pairs x subsets product matrix
-    num = np.einsum("ij,ij->j", ra, rb)
+    # an exact integer sum in either dtype, without building the pairs x
+    # subsets product matrix
+    num = np.einsum("ij,ij->j", da, db).astype(np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):
         rho = np.where(denom > 0, num / np.maximum(denom, 1e-300), np.nan)
     return np.clip(rho, -1.0, 1.0)
@@ -378,6 +383,12 @@ def quintile_agreement_analysis(
     """
     within_mode = set2 is None or set2 is set1
     sets = [set1] if within_mode else [set1, set2]
+    # an oversized q is refused before any batch is walked
+    size, b = min((len(batch), b) for b, batch in enumerate(set1.batches))
+    if size < q:
+        raise ArgumentError(
+            f"batch {b} holds {size} pairs, fewer than the {q} quantile "
+            "blocks")
 
     def batch_overlaps(batch):
         # within mode: one set's subset and complement means; cross mode:
@@ -385,7 +396,7 @@ def quintile_agreement_analysis(
         m1, m2 = (m for split in batch for m in split if m is not None)
         return quintile_overlaps(m1, m2, q).sum(axis=1), m1.shape[1]
 
-    # a scalar start leaves the checks on q to the kernel; summing on
+    # a scalar start leaves the check q >= 2 to the kernel; summing on
     # this thread, in batch order, keeps the float sums' order
     f_sums, count = 0.0, 0
     for f, m in _split_means(sets, K, within_mode, batch_overlaps):

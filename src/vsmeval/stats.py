@@ -4,17 +4,23 @@ the two kernels every rank statistic of the toolkit goes through.
 
 Spearman is computed as Pearson over average ranks, which is exact under
 ties (human 0-10 scores tie heavily); the 1 - 6*sum(d^2)/... shortcut is
-not used because it is invalid under ties. ``column_ranks`` ranks the
-columns of a matrix 256 at a time. Float columns get one row-wise
-argsort over the transposed block, one flat pass over the tie groups and
-one scatter back. Integer columns spanning fewer than 1024 values, such
-as the exact subset sums of the agreement walk, are counted instead: one
-``bincount`` and one ``cumsum`` over (column, value) keys give a table
-of ranks that is gathered back. Average ranks are half-integers, so both
-equal ``scipy.stats.rankdata(axis=0)`` bit for bit, and every sum of
-centred ranks is exact, whatever its order. ``quintile_overlaps`` gives,
-column by column, the share of each rank block that two score matrices
-put in the same block; on integer input its stable sort is a radix sort.
+not used because it is invalid under ties. ``doubled_ranks`` gives the
+doubled centred average ranks ``d = 2r - (n + 1)`` of the columns of a
+matrix, 256 columns at a time: integers of at most n - 1 in size. Float
+columns get one row-wise argsort over the transposed block, one flat
+pass over the tie groups and one scatter back. Integer columns spanning
+fewer than 1024 values, such as the exact subset sums of the agreement
+walk, are counted instead: one ``bincount`` and one ``cumsum`` over
+(column, value) keys give an integer table of d that is gathered back.
+d is float32 while ``n * (n - 1)**2 <= 2**24``, that is up to n = 256,
+and float64 above: a sum of n squares or products of d is then an
+integer of at most 2^24, which float32 holds exactly, so every such sum
+is exact whatever its order. ``column_ranks`` is ``(d + n + 1) / 2`` in
+float64 and equals ``scipy.stats.rankdata(axis=0)`` bit for bit.
+``quintile_overlaps`` gives, column by column, the share of each rank
+block that two score matrices put in the same block; on integer input
+its stable sort is a radix sort, over one byte where the input spans
+fewer than 256 values.
 """
 
 from __future__ import annotations
@@ -26,14 +32,15 @@ import numpy as np
 from .errors import ArgumentError, ConstantInputError, DegenerateError, \
     ValidationError
 
-# Columns ranked per block. Each temporary of a block then stays near
-# 100 KB and the allocator reuses its memory; a temporary the size of a
-# whole 50 x 1716 matrix is mapped afresh on every call, and its page
-# faults cost about as much as the ranking itself.
+# Columns ranked per block. On a 50-pair batch each temporary of a block
+# then stays within about 100 KB (the int64 sort keys and positions; the
+# float32 ranks are half that) and the allocator reuses its memory; a
+# temporary the size of a whole 50 x 1716 matrix is mapped afresh on
+# every call, and its page faults cost about as much as the ranking.
 _RANK_BLOCK = 256
 
-# Levels an integer matrix may span for ``column_ranks`` to count rather
-# than sort. A block's rank table then holds at most 256 x 1024 floats
+# Levels an integer matrix may span for ``doubled_ranks`` to count rather
+# than sort. A block's rank table then holds at most 256 x 1024 integers
 # (2 MiB); the K-subset sums of the agreement protocol span at most 121.
 _COUNT_LEVELS = 1024
 
@@ -63,46 +70,60 @@ def _paired(x, y):
 
 def column_ranks(x: np.ndarray) -> np.ndarray:
     """Average ranks (1-based, ties share the mean of their positions) of
-    every column of an n x m matrix, equal to ``rankdata(x, axis=0)``.
-    Integer input spanning fewer than ``_COUNT_LEVELS`` values is counted
-    (``_count_ranks``), any other input sorted."""
+    every column of an n x m matrix, equal to ``rankdata(x, axis=0)``:
+    ``(d + n + 1) / 2`` of the doubled ranks d, in float64."""
+    ranks = np.add(doubled_ranks(x), len(x) + 1, dtype=np.float64)
+    ranks /= 2
+    return ranks
+
+
+def doubled_ranks(x: np.ndarray) -> np.ndarray:
+    """Doubled centred average ranks ``d = 2r - (n + 1)`` of every column
+    of an n x m matrix, where r is ``rankdata(x, axis=0)``: integers of
+    at most n - 1 in size, float32 while ``n * (n - 1)**2 <= 2**24``
+    (n <= 256) and float64 above. Integer input spanning fewer than
+    ``_COUNT_LEVELS`` values is counted (``_count_ranks``), any other
+    input sorted (``_rank_rows``)."""
     n, m = x.shape
+    dtype = np.float32 if n * (n - 1) ** 2 <= 2 ** 24 else np.float64
     if np.can_cast(x.dtype, np.intp) and x.size:
         low = int(x.min())
         if int(x.max()) - low < _COUNT_LEVELS:
-            return _count_ranks(x, low)
-    ranks = np.empty((m, n))
+            return _count_ranks(x, low, dtype)
+    d = np.empty((m, n), dtype)
     for lo in range(0, m, _RANK_BLOCK):
         rows = np.ascontiguousarray(x[:, lo:lo + _RANK_BLOCK].T)
-        _rank_rows(rows, out=ranks[lo:lo + _RANK_BLOCK])
-    return ranks.T
+        _rank_rows(rows, out=d[lo:lo + _RANK_BLOCK])
+    return d.T
 
 
-def _count_ranks(x: np.ndarray, low: int) -> np.ndarray:
-    """Average ranks of every column of an integer matrix whose values
-    are at least ``low``, counted rather than sorted. A block gets one
-    key per cell, its level ``value - low`` plus its column times the
+def _count_ranks(x: np.ndarray, low: int, dtype) -> np.ndarray:
+    """Doubled centred ranks of every column of an integer matrix whose
+    values are at least ``low``, counted rather than sorted. A block gets
+    one key per cell, its level ``value - low`` plus its column times the
     block's number of levels, and one ``bincount`` and one flat
-    ``cumsum`` over the keys. A key's rank is then
-    ``(2 * cum - count + 1) / 2`` less the n values of each earlier
-    column of the block: half-integers, so exact. The table holds one
-    entry per column and level up to the block's largest level."""
+    ``cumsum`` over the keys. A key's doubled rank is then
+    ``2 * cum - count + 1`` less 2n for each earlier column of the
+    block, and d is that less n + 1: an integer table, one entry per
+    column and level up to the block's largest level, cast to ``dtype``
+    and gathered back."""
     n, m = x.shape
-    ranks = np.empty((n, m))
+    d = np.empty((n, m), dtype)
     for lo in range(0, m, _RANK_BLOCK):
         block = x[:, lo:lo + _RANK_BLOCK]
         w = block.shape[1]
         levels = int(block.max()) - low + 1
         keys = block + (np.arange(0, w * levels, levels) - low)
         count = np.bincount(keys.ravel(), minlength=w * levels)
-        table = ((2 * count.cumsum() - count + 1) / 2).reshape(w, levels)
-        table -= np.arange(0, w * n, n)[:, None]
-        np.take(table, keys, out=ranks[:, lo:lo + _RANK_BLOCK])
-    return ranks
+        table = (2 * count.cumsum() - count - n).reshape(w, levels)
+        table -= np.arange(0, 2 * w * n, 2 * n)[:, None]
+        np.take(table.astype(dtype), keys, out=d[:, lo:lo + _RANK_BLOCK])
+    return d
 
 
 def _rank_rows(rows: np.ndarray, out: np.ndarray) -> None:
-    """Average ranks within each row of a C-contiguous matrix."""
+    """Doubled centred average ranks within each row of a C-contiguous
+    matrix."""
     m, n = rows.shape
     # one argsort over all rows; flat indices address the matrix as one
     # array of m runs of n sorted values
@@ -116,15 +137,14 @@ def _rank_rows(rows: np.ndarray, out: np.ndarray) -> None:
     starts[::n] = True
     first = np.flatnonzero(starts)
     last = np.append(first[1:], m * n) - 1
-    # mean of the group's flat 1-based positions; subtracting the run's
-    # offset makes it a rank within the row. Every value is a small
-    # half-integer, so all of this is exact.
-    mean_position = (first + last) / 2 + 1
-    # cumsum over an integer copy: on a bool array it is over twice as slow
+    # first + last is twice the mean of the group's flat 0-based
+    # positions; less twice the run's offset and n - 1 it is d. All of
+    # this is in integers, so exact. cumsum over an integer copy: on a
+    # bool array it is over twice as slow
     group = starts.astype(np.intp).cumsum() - 1
-    ranks = np.empty(m * n)
-    ranks[flat] = mean_position[group]
-    np.subtract(ranks.reshape(m, n), offsets, out=out)
+    doubled = np.empty(m * n, dtype=np.intp)
+    doubled[flat] = (first + last)[group]
+    np.subtract(doubled.reshape(m, n), 2 * offsets + (n - 1), out=out)
 
 
 def pearson(x, y) -> float:
@@ -216,24 +236,45 @@ def quintile_overlaps(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """The q x m relative overlaps F of two n x m score matrices: per
     column, the count of pairs both put in block i over the size of
     block i. Blocks follow ``quintile_block_sizes`` down the descending
-    order of a column; a stable sort keeps pair-position order on ties."""
+    order of a column; a stable sort keeps pair-position order on ties.
+    Block labels and counts are held in the narrowest unsigned type that
+    holds q and n."""
     n, m = a.shape
     if q < 2:
         raise ArgumentError(f"q must be >= 2, got {q}")
     if n < q:
         raise ArgumentError(f"cannot split {n} items into {q} blocks")
     sizes = quintile_block_sizes(n, q)
-    block_of_position = np.repeat(np.arange(q), sizes)[:, None]
+    label = np.min_scalar_type(q)
+    block_of_position = np.repeat(np.arange(q, dtype=label), sizes)[:, None]
     cols = np.arange(m)[None, :]
     blocks = []
     for scores in (a, b):
-        order = np.argsort(-scores, axis=0, kind="stable")
-        block = np.empty_like(order)
+        order = np.argsort(_descending_keys(scores), axis=0, kind="stable")
+        block = np.empty(order.shape, dtype=label)
         block[order, cols] = block_of_position
         blocks.append(block)
     b1, b2 = blocks
-    inter = np.stack([((b1 == i) & (b2 == i)).sum(axis=0) for i in range(q)])
+    # a pair's shared block, or q where the two blocks differ
+    shared = np.where(b1 == b2, b1, q)
+    count = np.min_scalar_type(n)
+    inter = np.stack([(shared == i).sum(axis=0, dtype=count)
+                      for i in range(q)])
     return inter / np.array(sizes)[:, None]
+
+
+def _descending_keys(scores: np.ndarray) -> np.ndarray:
+    """Keys whose stable ascending order is the stable descending order
+    of ``scores``: for integers ``max - scores`` as uint8 where they span
+    fewer than 256 values, which the radix sort orders in one byte pass,
+    and the bitwise complement, which cannot overflow, otherwise; the
+    negated scores for floats."""
+    if np.can_cast(scores.dtype, np.intp) and scores.size:
+        top = scores.max()
+        if int(top) - int(scores.min()) < 256:
+            return (top - scores).astype(np.uint8)
+        return ~scores
+    return -scores
 
 
 def quintile_fscore(x, y, q: int = 5) -> tuple[float, ...]:

@@ -10,7 +10,9 @@ recursive consonant test per letter and every table entry tried in turn.
 ``ppmi_dense_reference`` is PPMI as first written, over the dense count
 matrix with every cell's log taken. ``outlier_statistics_bruteforce`` is
 the annotator outlier statistic as first written, one ``np.delete`` per
-column.
+column. ``centred_ranks_reference`` and ``ranked_spearman_reference`` are
+the agreement walk's Spearman as first written, on float64 half-integer
+centred ranks.
 """
 
 import math
@@ -122,6 +124,26 @@ def outlier_statistics_bruteforce(batch_scores):
         else:
             stats[j] = diff / spread
     return stats
+
+
+def centred_ranks_reference(x):
+    """Average ranks of each column less their mean, (n + 1) / 2, and
+    each column's sum of squares: half-integers and their exact sums."""
+    from scipy.stats import rankdata
+    r = rankdata(x, axis=0)
+    r -= (len(r) + 1) / 2
+    return r, np.einsum("ij,ij->j", r, r)
+
+
+def ranked_spearman_reference(a, b):
+    """Spearman rho per column from two ``centred_ranks_reference``
+    results; NaN where a side is constant."""
+    (ra, ssa), (rb, ssb) = a, b
+    denom = np.sqrt(ssa * ssb)
+    num = np.einsum("ij,ij->j", ra, rb)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho = np.where(denom > 0, num / np.maximum(denom, 1e-300), np.nan)
+    return np.clip(rho, -1.0, 1.0)
 
 
 def cooccurrence_bruteforce(sentences, targets, contexts, window):

@@ -5,7 +5,8 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, example, given, settings,
+                        strategies as st)
 from scipy.stats import rankdata
 
 from vsmeval import agreement
@@ -32,10 +33,12 @@ from vsmeval.errors import (
     ValidationError,
 )
 from vsmeval.scoring import WordPairList
-from vsmeval.stats import column_ranks, quintile_overlaps, spearman
+from vsmeval.stats import (column_ranks, doubled_ranks, quintile_overlaps,
+                           spearman)
 
 from conftest import LINE_READER_CHARACTERS, make_evalset, synthetic_languages
-from oracles import outlier_statistics_bruteforce, spearman_bruteforce
+from oracles import (centred_ranks_reference, outlier_statistics_bruteforce,
+                     ranked_spearman_reference, spearman_bruteforce)
 
 
 @st.composite
@@ -178,6 +181,100 @@ class TestColumnRanks:
         expected = rankdata(x, axis=0)
         assert ranks.dtype == expected.dtype
         assert np.array_equal(ranks, expected)
+
+
+def _rank_input(seed, n, m, path, levels, constant_share):
+    """An n x m matrix over ``levels`` values with a share of constant
+    columns: int16 for the counting path, the same values over 7 (still
+    tie-heavy) or Gaussian draws for the sort path."""
+    r = np.random.default_rng(seed)
+    x = r.integers(-levels, levels, size=(n, m)).astype(np.int16)
+    if path == "sort-ties":
+        x = x / 7
+    elif path == "sort-gaussian":
+        x = r.normal(size=(n, m))
+    constant = r.random(m) < constant_share
+    x[:, constant] = x[0, constant]
+    return x
+
+
+_RANK_PATHS = st.sampled_from(["count", "sort-ties", "sort-gaussian"])
+
+
+class TestDoubledRanks:
+    """``stats.doubled_ranks``, the agreement walk's rank kernel, against
+    rankdata on its counting and sort paths, on both sides of its switch
+    from float32 to float64 above n = 256."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(1, 300), m=st.integers(1, 300), path=_RANK_PATHS,
+           levels=st.integers(1, 60), constant_share=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    # the largest n held in float32, and the smallest above it
+    @example(n=256, m=40, path="count", levels=60, constant_share=0.1,
+             seed=0)
+    @example(n=257, m=40, path="sort-ties", levels=60, constant_share=0.1,
+             seed=0)
+    def test_equals_doubled_rankdata(self, n, m, path, levels,
+                                     constant_share, seed):
+        x = _rank_input(seed, n, m, path, levels, constant_share)
+        d = doubled_ranks(x)
+        assert d.dtype == (np.float32 if n <= 256 else np.float64)
+        assert np.array_equal(d, 2 * rankdata(x, axis=0) - (n + 1))
+        # every sum of squares is an exact integer in d's own dtype
+        exact = d.astype(np.int64)
+        assert np.array_equal(np.einsum("ij,ij->j", d, d),
+                              np.einsum("ij,ij->j", exact, exact))
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 300), m=st.integers(1, 200), path=_RANK_PATHS,
+           levels=st.integers(1, 60), constant_share=st.floats(0.0, 0.5),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=256, m=40, path="count", levels=1, constant_share=0.0,
+             seed=0)
+    @example(n=257, m=40, path="sort-gaussian", levels=60,
+             constant_share=0.3, seed=1)
+    def test_agreement_spearman_has_the_reference_bits(
+            self, n, m, path, levels, constant_share, seed):
+        # the walk's rho on doubled ranks against the float64 pair on
+        # half-integer ranks; constant columns stay NaN
+        a, b = (_rank_input(seed + side, n, m, path, levels, constant_share)
+                for side in (0, 1))
+        got_a, got_b = _centred_ranks(a), _centred_ranks(b)
+        ref_a, ref_b = centred_ranks_reference(a), centred_ranks_reference(b)
+        assert got_a[1].dtype == np.float64
+        assert np.array_equal(got_a[1], 4 * ref_a[1])
+        rho = _ranked_spearman(got_a, got_b)
+        expected = ranked_spearman_reference(ref_a, ref_b)
+        assert np.array_equal(rho.view(np.int64), expected.view(np.int64))
+
+    def test_agreement_on_one_batch_of_300_pairs_has_the_reference_bits(
+            self):
+        # 300 pairs take the float64 side; en has integer judgments (the
+        # walk's int16 sums), de half points (float means); annotators 0
+        # to 6 of en are constant in the first 150 pairs only
+        rng = np.random.default_rng(300)
+        en = rng.integers(0, 11, size=(300, 13)).astype(float)
+        en[:150, :7] = 4.0
+        de = np.rint(rng.uniform(0, 10, size=(300, 13)) * 2) / 2
+        sets = [make_evalset(s, language=lang, batch_size=300)
+                for s, lang in ((en, "en"), (de, "de"))]
+        member = agreement._subset_membership(13, 6)
+        sub_en, sub_de = (s @ member.T / 6 for s in (en, de))
+        comp_en = en @ (1 - member).T / 7
+
+        def reference(x, y):
+            return ranked_spearman_reference(centred_ranks_reference(x),
+                                             centred_ranks_reference(y))
+
+        for report, expected in (
+                (within_language_agreement(sets[0]),
+                 reference(sub_en, comp_en)),
+                (cross_language_agreement(*sets), reference(sub_en, sub_de))):
+            bad = np.isnan(expected)
+            assert report.degenerate_count == bad.sum()
+            assert np.array_equal(report.samples.view(np.int64),
+                                  expected[~bad].view(np.int64))
 
 
 class TestWithinAgreement:
@@ -432,6 +529,47 @@ class TestQuintileAnalysis:
         assert all(0.0 <= f <= 1.0 for f in overlap)
 
 
+    def test_quantiles_above_the_smallest_batch_refused_before_the_walk(
+            self, monkeypatch):
+        # batches of 50 and 49 pairs: q = 50 fits batch 0 but not batch 1
+        walked = []
+        kernel = agreement.quintile_overlaps
+        monkeypatch.setattr(agreement, "quintile_overlaps",
+                            lambda *args: walked.append(1) or kernel(*args))
+        rng = np.random.default_rng(49)
+        s1, s2 = (make_evalset(rng.uniform(0, 10, size=(99, 13)),
+                               language=lang) for lang in ("en", "de"))
+        for sets in ((s1,), (s1, s2)):
+            with pytest.raises(ArgumentError, match=r"^batch 1 holds 49 "
+                               r"pairs, fewer than the 50 quantile blocks$"):
+                quintile_agreement_analysis(*sets, q=50)
+        assert walked == []
+        assert len(quintile_agreement_analysis(s1, q=49)) == 49
+        assert len(walked) == 2
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 60), m=st.integers(1, 300), q=st.integers(2, 7),
+           span=st.one_of(st.integers(1, 256), st.integers(257, 65536)),
+           at_bottom=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    # one byte of keys, and the smallest span that needs two
+    @example(n=50, m=40, q=5, span=256, at_bottom=True, seed=0)
+    @example(n=50, m=40, q=5, span=257, at_bottom=True, seed=0)
+    def test_quintile_overlaps_on_integers_of_any_span_equal_floats(
+            self, n, m, q, span, at_bottom, seed):
+        # int16 keys of any span, down to -32768, whose negation overflows
+        assume(n >= q)
+        r = np.random.default_rng(seed)
+        low = -32768 if at_bottom else 32768 - span
+        a, b = (low + r.integers(0, span, size=(n, m))
+                for _ in range(2))
+        a[0] = low
+        ints = [x.astype(np.int16) for x in (a, b)]
+        floats = [x.astype(float) for x in (a, b)]
+        assert np.array_equal(quintile_overlaps(*ints, q),
+                              quintile_overlaps(*floats, q))
+
+
 class TestParallelWalk:
     """The batches of the K-subset walk run on a thread pool; the number
     of workers changes no bit of any result, and the pool leaves no
@@ -581,8 +719,8 @@ class TestIntegerJudgments:
                 return kernel(*matrices, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(agreement, "column_ranks",
-                            spy(agreement.column_ranks))
+        monkeypatch.setattr(agreement, "doubled_ranks",
+                            spy(agreement.doubled_ranks))
         monkeypatch.setattr(agreement, "quintile_overlaps",
                             spy(agreement.quintile_overlaps))
         integral, _ = self._sets(rng)

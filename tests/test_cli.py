@@ -641,6 +641,26 @@ def test_out_of_range_numeric_arguments_exit_2(workspace, capsys,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("mode, languages", [("within", ("en",)),
+                                            ("cross", ("en", "de"))])
+def test_quintiles_above_the_smallest_batch_exit_2_naming_it(
+        tmp_path, capsys, mode, languages):
+    # 99 pairs: the last batch holds 49
+    rng = np.random.default_rng(99)
+    argv = ["quintiles", "--mode", mode, "--quantiles", "50",
+            "--out", str(tmp_path / "q.tsv")]
+    for lang in languages:
+        path = tmp_path / f"{lang}.tsv"
+        save_evaluation_set(make_evalset(rng.uniform(0, 10, size=(99, 13))),
+                            path)
+        argv += ["--evalset", f"{lang}={path}"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: batch 1 holds 49 pairs, fewer than the 50 quantile "
+        "blocks\n")
+    assert not (tmp_path / "q.tsv").exists()
+
+
 def test_lexicon_without_a_vectors_language_exit_3(workspace, capsys):
     argv = _cca_argv(workspace)
     argv[5] = f"fr={workspace / 'vectors_de.txt'}"
