@@ -383,7 +383,10 @@ def quintile_agreement_analysis(
     """
     within_mode = set2 is None or set2 is set1
     sets = [set1] if within_mode else [set1, set2]
-    # an oversized q is refused before any batch is walked
+    # the walk's checks on the sets and on K come first; an oversized q
+    # is then refused before any batch is walked
+    _check_sets(sets)
+    enumerate_subsets(ANNOTATORS_PER_BATCH, K)
     size, b = min((len(batch), b) for b, batch in enumerate(set1.batches))
     if size < q:
         raise ArgumentError(

@@ -265,15 +265,17 @@ def quintile_overlaps(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 
 def _descending_keys(scores: np.ndarray) -> np.ndarray:
     """Keys whose stable ascending order is the stable descending order
-    of ``scores``: for integers ``max - scores`` as uint8 where they span
-    fewer than 256 values, which the radix sort orders in one byte pass,
-    and the bitwise complement, which cannot overflow, otherwise; the
-    negated scores for floats."""
+    of ``scores``: the negated scores for floats; for integers
+    ``max - scores`` in the narrowest unsigned type that holds their
+    span (one byte for the walk's sums, which the radix sort orders in
+    one pass). The subtraction may wrap in the input's type; the cast
+    keeps it modulo a power of two no larger than the wrap's, and the
+    true difference, at most the span, is below that power, so every key
+    is exact."""
     if np.can_cast(scores.dtype, np.intp) and scores.size:
         top = scores.max()
-        if int(top) - int(scores.min()) < 256:
-            return (top - scores).astype(np.uint8)
-        return ~scores
+        span = int(top) - int(scores.min())
+        return (top - scores).astype(np.min_scalar_type(span))
     return -scores
 
 

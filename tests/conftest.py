@@ -33,6 +33,17 @@ def dense_count_matrix(row_words, col_words, counts, language="und"):
                        counts[rows, cols].astype(np.int64), language)
 
 
+def integer_matrix(seed, n, m, levels, constant_share, span=121, low=0):
+    """An n x m int16 matrix over at most ``levels`` distinct values of
+    ``low`` to ``low + span - 1``, with a share of constant columns."""
+    r = np.random.default_rng(seed)
+    values = low + r.choice(span, size=min(levels, span), replace=False)
+    x = r.choice(values, size=(n, m)).astype(np.int16)
+    constant = r.random(m) < constant_share
+    x[:, constant] = x[0, constant]
+    return x
+
+
 def _rescale_to_range(scores, lo=0.0, hi=10.0):
     smin, smax = scores.min(), scores.max()
     return np.clip(lo + (hi - lo) * (scores - smin) / (smax - smin), lo, hi)

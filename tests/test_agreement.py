@@ -36,7 +36,8 @@ from vsmeval.scoring import WordPairList
 from vsmeval.stats import (column_ranks, doubled_ranks, quintile_overlaps,
                            spearman)
 
-from conftest import LINE_READER_CHARACTERS, make_evalset, synthetic_languages
+from conftest import (LINE_READER_CHARACTERS, integer_matrix, make_evalset,
+                      synthetic_languages)
 from oracles import (centred_ranks_reference, outlier_statistics_bruteforce,
                      ranked_spearman_reference, spearman_bruteforce)
 
@@ -184,21 +185,18 @@ class TestColumnRanks:
 
 
 def _rank_input(seed, n, m, path, levels, constant_share):
-    """An n x m matrix over ``levels`` values with a share of constant
-    columns: int16 for the counting path, the same values over 7 (still
-    tie-heavy) or Gaussian draws for the sort path."""
-    r = np.random.default_rng(seed)
-    x = r.integers(-levels, levels, size=(n, m)).astype(np.int16)
-    if path == "sort-ties":
-        x = x / 7
-    elif path == "sort-gaussian":
-        x = r.normal(size=(n, m))
-    constant = r.random(m) < constant_share
-    x[:, constant] = x[0, constant]
-    return x
+    """An ``integer_matrix`` with a share of constant columns: int16 over
+    ``levels`` of 121 values for the counting path; for the sort path the
+    same over 7 (floats, as tie-heavy), or int16 over the whole int16
+    range, wider than a counting table, with few ties."""
+    if path == "sort-wide":
+        return integer_matrix(seed, n, m, 2**16, constant_share,
+                              span=2**16, low=-2**15)
+    x = integer_matrix(seed, n, m, levels, constant_share, low=-60)
+    return x / 7 if path == "sort-ties" else x
 
 
-_RANK_PATHS = st.sampled_from(["count", "sort-ties", "sort-gaussian"])
+_RANK_PATHS = st.sampled_from(["count", "sort-ties", "sort-wide"])
 
 
 class TestDoubledRanks:
@@ -232,7 +230,7 @@ class TestDoubledRanks:
            seed=st.integers(0, 2**32 - 1))
     @example(n=256, m=40, path="count", levels=1, constant_share=0.0,
              seed=0)
-    @example(n=257, m=40, path="sort-gaussian", levels=60,
+    @example(n=257, m=40, path="sort-wide", levels=60,
              constant_share=0.3, seed=1)
     def test_agreement_spearman_has_the_reference_bits(
             self, n, m, path, levels, constant_share, seed):
@@ -528,7 +526,6 @@ class TestQuintileAnalysis:
         assert len(overlap) == 5
         assert all(0.0 <= f <= 1.0 for f in overlap)
 
-
     def test_quantiles_above_the_smallest_batch_refused_before_the_walk(
             self, monkeypatch):
         # batches of 50 and 49 pairs: q = 50 fits batch 0 but not batch 1
@@ -543,31 +540,15 @@ class TestQuintileAnalysis:
             with pytest.raises(ArgumentError, match=r"^batch 1 holds 49 "
                                r"pairs, fewer than the 50 quantile blocks$"):
                 quintile_agreement_analysis(*sets, q=50)
+        # the walk's own checks on the sets and on K still come first
+        s3 = make_evalset(s2.scores, language="de", batch_size=33)
+        with pytest.raises(AlignmentError, match="batch partitions"):
+            quintile_agreement_analysis(s1, s3, q=50)
+        with pytest.raises(ArgumentError, match="need 0 < k < n"):
+            quintile_agreement_analysis(s1, K=13, q=50)
         assert walked == []
         assert len(quintile_agreement_analysis(s1, q=49)) == 49
         assert len(walked) == 2
-
-
-    @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(2, 60), m=st.integers(1, 300), q=st.integers(2, 7),
-           span=st.one_of(st.integers(1, 256), st.integers(257, 65536)),
-           at_bottom=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    # one byte of keys, and the smallest span that needs two
-    @example(n=50, m=40, q=5, span=256, at_bottom=True, seed=0)
-    @example(n=50, m=40, q=5, span=257, at_bottom=True, seed=0)
-    def test_quintile_overlaps_on_integers_of_any_span_equal_floats(
-            self, n, m, q, span, at_bottom, seed):
-        # int16 keys of any span, down to -32768, whose negation overflows
-        assume(n >= q)
-        r = np.random.default_rng(seed)
-        low = -32768 if at_bottom else 32768 - span
-        a, b = (low + r.integers(0, span, size=(n, m))
-                for _ in range(2))
-        a[0] = low
-        ints = [x.astype(np.int16) for x in (a, b)]
-        floats = [x.astype(float) for x in (a, b)]
-        assert np.array_equal(quintile_overlaps(*ints, q),
-                              quintile_overlaps(*floats, q))
 
 
 class TestParallelWalk:

@@ -641,23 +641,28 @@ def test_out_of_range_numeric_arguments_exit_2(workspace, capsys,
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("mode, languages", [("within", ("en",)),
-                                            ("cross", ("en", "de"))])
-def test_quintiles_above_the_smallest_batch_exit_2_naming_it(
-        tmp_path, capsys, mode, languages):
-    # 99 pairs: the last batch holds 49
+@pytest.mark.parametrize("mode, batch_sizes, code, message", [
+    ("within", (50,), 2,
+     "batch 1 holds 49 pairs, fewer than the 50 quantile blocks"),
+    ("cross", (50, 50), 2,
+     "batch 1 holds 49 pairs, fewer than the 50 quantile blocks"),
+    # the check on the sets' batch partitions still comes first
+    ("cross", (50, 33), 3,
+     "evaluation sets have different batch partitions"),
+], ids=["within", "cross", "cross-partitions"])
+def test_quintiles_above_the_smallest_batch_refused_after_set_checks(
+        tmp_path, capsys, mode, batch_sizes, code, message):
+    # 99 pairs: the last batch of 50 holds 49
     rng = np.random.default_rng(99)
     argv = ["quintiles", "--mode", mode, "--quantiles", "50",
             "--out", str(tmp_path / "q.tsv")]
-    for lang in languages:
+    for lang, batch_size in zip(("en", "de"), batch_sizes):
         path = tmp_path / f"{lang}.tsv"
-        save_evaluation_set(make_evalset(rng.uniform(0, 10, size=(99, 13))),
-                            path)
+        save_evaluation_set(make_evalset(rng.uniform(0, 10, size=(99, 13)),
+                                         batch_size=batch_size), path)
         argv += ["--evalset", f"{lang}={path}"]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        "error: batch 1 holds 49 pairs, fewer than the 50 quantile "
-        "blocks\n")
+    assert main(argv) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "q.tsv").exists()
 
 

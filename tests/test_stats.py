@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from vsmeval.errors import (
     ArgumentError,
@@ -24,6 +24,7 @@ from vsmeval.stats import (
     welch_t_test,
 )
 
+from conftest import integer_matrix
 from oracles import (
     kendall_tau_b_bruteforce,
     pearson_formula,
@@ -292,17 +293,6 @@ class TestQuintiles:
             quintile_fscore(r, r, q=1)
 
 
-def _integer_matrix(seed, n, m, levels, constant_share, span=121, low=0):
-    """An n x m int16 matrix over at most ``levels`` distinct values of
-    ``low`` to ``low + span - 1``, with a share of constant columns."""
-    r = np.random.default_rng(seed)
-    values = low + r.choice(span, size=min(levels, span), replace=False)
-    x = r.choice(values, size=(n, m)).astype(np.int16)
-    constant = r.random(m) < constant_share
-    x[:, constant] = x[0, constant]
-    return x
-
-
 class TestIntegerKeys:
     """The K-subset walk gives both kernels exact int16 subset sums when
     every judgment is an integer. On them the kernels give what they give
@@ -315,7 +305,7 @@ class TestIntegerKeys:
            seed=st.integers(0, 2**32 - 1))
     def test_counting_ranks_equal_rankdata(self, n, m, levels, low,
                                            constant_share, seed):
-        x = _integer_matrix(seed, n, m, levels, constant_share, low=low)
+        x = integer_matrix(seed, n, m, levels, constant_share, low=low)
         ranks = column_ranks(x)
         expected = scipy.stats.rankdata(x.astype(float), axis=0)
         assert ranks.dtype == expected.dtype == np.float64
@@ -338,9 +328,32 @@ class TestIntegerKeys:
     def test_quintiles_on_sums_equal_quintiles_on_means(
             self, n, m, q, K, levels, constant_share, seed):
         # subset sums of K judgments on 0-10, complement sums of 13 - K
-        sums = [_integer_matrix(seed + side, n, m, levels, constant_share,
-                                span=10 * k + 1)
+        sums = [integer_matrix(seed + side, n, m, levels, constant_share,
+                               span=10 * k + 1)
                 for side, k in enumerate((K, 13 - K))]
         means = (sums[0] / K, sums[1] / (13 - K))
         assert np.array_equal(quintile_overlaps(*sums, q),
                               quintile_overlaps(*means, q))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 60), m=st.integers(1, 300), q=st.integers(2, 7),
+           levels=st.integers(1, 121),
+           span=st.one_of(st.integers(1, 256), st.integers(257, 2**16)),
+           at_bottom=st.booleans(), constant_share=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    # the widest span one byte of keys holds, and the narrowest beyond it
+    @example(n=50, m=40, q=5, levels=121, span=256, at_bottom=True,
+             constant_share=0.1, seed=0)
+    @example(n=50, m=40, q=5, levels=121, span=257, at_bottom=True,
+             constant_share=0.1, seed=0)
+    def test_quintiles_on_int16_of_any_span_equal_quintiles_on_floats(
+            self, n, m, q, levels, span, at_bottom, constant_share, seed):
+        # down to -32768, whose negation overflows in int16, or up to 32767
+        assume(n >= q)
+        low = -2**15 if at_bottom else 2**15 - span
+        a, b = (integer_matrix(seed + side, n, m, levels, constant_share,
+                               span=span, low=low) for side in (0, 1))
+        a[0], a[-1] = low, low + span - 1
+        assert np.array_equal(quintile_overlaps(a, b, q),
+                              quintile_overlaps(a.astype(float),
+                                                b.astype(float), q))
