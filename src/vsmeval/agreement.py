@@ -25,14 +25,9 @@ and the cross report of every pair of sets from those ranks;
 reads the same walk. Batches share no state and numpy releases the GIL
 in the sorts and products a batch spends its time in; the reports are
 assembled on the calling thread, so they do not depend on the number of
-workers. Spearman rho is Pearson on average ranks, taken on the doubled
-centred ranks ``d = 2r - (n + 1)`` of ``stats.doubled_ranks``: exact
-integers, float32 up to n = 256 pairs a batch, where every sum of
-squares and of products is at most n(n - 1)^2 <= 2^24 and so exact in
-float32 in any order. Numerator and sums of squares are those of the
-ranks times 4, an exact power of two, so every rho has the bits Pearson
-on float64 ranks gives. The quintile block overlaps
-(``stats.quintile_overlaps``) live in ``stats`` too.
+workers. The rank kernels ``centred_ranks`` and ``ranked_spearman`` and
+the quintile block overlaps ``quintile_overlaps`` live in ``stats``,
+whose docstring says why every rho is exact.
 
 ``qc`` (``apply_outlier_filter``) screens each batch's annotators in one
 loop: the single-pass screen is its first step, and ``iterate`` goes on
@@ -52,6 +47,7 @@ import numpy as np
 from .errors import (
     AlignmentError,
     ArgumentError,
+    DegenerateError,
     FormatError,
     ValidationError,
 )
@@ -59,8 +55,9 @@ from .scoring import (ScoreVector, WordPairList, check_aligned,
                       check_one_per_language, record_pair_index)
 from .stats import (
     WelchResult,
-    doubled_ranks,
+    centred_ranks,
     quintile_overlaps,
+    ranked_spearman,
     welch_t_test,
 )
 from .textfile import check_cells, numeric, read_rows, write_lines
@@ -115,12 +112,20 @@ class AgreementReport:
 
     @property
     def mean(self) -> float:
-        return float(self.samples.mean())
+        return float(self._nonempty().mean())
 
     @property
     def std(self) -> float:
         # population std over the correlation samples
-        return float(self.samples.std(ddof=0))
+        return float(self._nonempty().std(ddof=0))
+
+    def _nonempty(self) -> np.ndarray:
+        """The samples; refused when every split was degenerate."""
+        if not len(self.samples):
+            raise DegenerateError(
+                f"{self.label} has no samples: all {self.degenerate_count} "
+                "splits are degenerate")
+        return self.samples
 
     @property
     def sample_count(self) -> int:
@@ -187,32 +192,6 @@ def _subset_membership(n: int, k: int) -> np.ndarray:
     member = np.zeros((len(subsets), n))
     np.put_along_axis(member, subsets, 1.0, axis=1)
     return member
-
-
-def _centred_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Doubled centred average ranks of the columns,
-    ``stats.doubled_ranks``, and each column's sum of their squares in
-    float64. Both are exact integers, so the sums do not depend on the
-    order the einsum adds in."""
-    d = doubled_ranks(x)
-    return d, np.einsum("ij,ij->j", d, d).astype(np.float64)
-
-
-def _ranked_spearman(
-    a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """Spearman rho per column from two ``_centred_ranks`` results;
-    columns with a constant side come back NaN. Numerator and both sums
-    of squares are those of the centred ranks times 4, an exact power of
-    two, so rho has the bits Pearson on the ranks themselves gives."""
-    (da, ssa), (db, ssb) = a, b
-    denom = np.sqrt(ssa * ssb)
-    # an exact integer sum in either dtype, without building the pairs x
-    # subsets product matrix
-    num = np.einsum("ij,ij->j", da, db).astype(np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rho = np.where(denom > 0, num / np.maximum(denom, 1e-300), np.nan)
-    return np.clip(rho, -1.0, 1.0)
 
 
 def _check_sets(sets: list[EvaluationSet]) -> None:
@@ -293,11 +272,11 @@ def _agreement_reports(sets: list[EvaluationSet], K: int, within: bool):
     def batch_rhos(batch):
         within_rhos, subset_ranks = [], []
         for sub, comp in batch:
-            sub = _centred_ranks(sub)
+            sub = centred_ranks(sub)
             if within:
-                within_rhos.append(_ranked_spearman(sub, _centred_ranks(comp)))
+                within_rhos.append(ranked_spearman(sub, centred_ranks(comp)))
             subset_ranks.append(sub)
-        cross_rhos = [_ranked_spearman(subset_ranks[i], subset_ranks[j])
+        cross_rhos = [ranked_spearman(subset_ranks[i], subset_ranks[j])
                       for i, j in pairs]
         return within_rhos, cross_rhos
 
@@ -337,10 +316,9 @@ def cross_language_agreement(
 def agreement_significance(
     within: AgreementReport, cross: AgreementReport
 ) -> WelchResult:
-    """Welch's t-test over the raw per-subset correlation samples."""
-    if within.sample_count == 0 or cross.sample_count == 0:
-        raise ArgumentError("empty sample list")
-    return welch_t_test(within.samples, cross.samples)
+    """Welch's t-test over the raw per-subset correlation samples; a
+    report without samples is refused."""
+    return welch_t_test(within._nonempty(), cross._nonempty())
 
 
 def significance_driver(

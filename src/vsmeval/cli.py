@@ -469,14 +469,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_distinct_outputs(args) -> None:
-    """Refuse two output options that name one file, before any input
-    is read: the second write would replace the first."""
+    """Refuse, before any input is read, an output path that names a
+    directory or lies in a directory that does not exist, and two output
+    options that name one file: the second write would replace the
+    first."""
     seen = {}
     for name in ("out", "samples_out", "log", "model_out", "report_out"):
         path = getattr(args, name, None)
         if path is None:
             continue
         option = "--" + name.replace("_", "-")
+        if os.path.isdir(path):
+            raise ArgumentError(f"{option} names a directory: {path}")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ArgumentError(f"{option} names a file in a directory that "
+                                f"does not exist: {path}")
         real = os.path.realpath(path)
         if real in seen:
             raise ArgumentError(f"{seen[real]} and {option} name one file: "

@@ -187,10 +187,10 @@ def read_scores(path) -> ScoreVector:
     first_line: dict[int, int] = {}
     for lineno, line in read_lines(path):
         oov = line.startswith("#OOV\t")
-        if not oov and (line.startswith("#") or (
-                not first_line and line.startswith("pair_index"))):
-            continue
         fields = line.split("\t")
+        if not oov and (line.startswith("#") or (
+                not first_line and fields[0] == "pair_index")):
+            continue
         width = 5 if oov else 4
         if len(fields) < width:
             raise FormatError(f"expected {width} columns",

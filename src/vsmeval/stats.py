@@ -1,26 +1,27 @@
 """Scalar statistics: Spearman rho, Pearson r, Kendall tau-b, Welch's
 t-test, and quintile relative-F overlap between two score vectors, plus
-the two kernels every rank statistic of the toolkit goes through.
+the kernels every rank statistic of the toolkit goes through.
 
-Spearman is computed as Pearson over average ranks, which is exact under
-ties (human 0-10 scores tie heavily); the 1 - 6*sum(d^2)/... shortcut is
-not used because it is invalid under ties. ``doubled_ranks`` gives the
-doubled centred average ranks ``d = 2r - (n + 1)`` of the columns of a
-matrix, 256 columns at a time: integers of at most n - 1 in size. Float
-columns get one row-wise argsort over the transposed block, one flat
-pass over the tie groups and one scatter back. Integer columns spanning
-fewer than 1024 values, such as the exact subset sums of the agreement
-walk, are counted instead: one ``bincount`` and one ``cumsum`` over
-(column, value) keys give an integer table of d that is gathered back.
-d is float32 while ``n * (n - 1)**2 <= 2**24``, that is up to n = 256,
-and float64 above: a sum of n squares or products of d is then an
-integer of at most 2^24, which float32 holds exactly, so every such sum
-is exact whatever its order. ``column_ranks`` is ``(d + n + 1) / 2`` in
-float64 and equals ``scipy.stats.rankdata(axis=0)`` bit for bit.
-``quintile_overlaps`` gives, column by column, the share of each rank
-block that two score matrices put in the same block; on integer input
-its stable sort is a radix sort, over one byte where the input spans
-fewer than 256 values.
+Spearman is Pearson over average ranks r, which is exact under ties
+(human 0-10 scores tie heavily); the 1 - 6*sum(d^2)/... shortcut is not
+used because it is invalid under ties. ``centred_ranks`` gives the
+doubled centred ranks ``d = 2r - (n + 1)`` of the columns of a matrix,
+256 columns at a time, and their sums of squares. Float columns get one
+row-wise argsort over the transposed block, one flat pass over the tie
+groups and one scatter back. Integer columns spanning fewer than 1024
+values, such as the exact subset sums of the agreement walk, are counted
+instead: one ``bincount`` and one ``cumsum`` over (column, value) keys
+give an integer table of d that is gathered back. ``ranked_spearman``
+takes two such results to rho per column; ``spearman`` is its one-column
+case. Pearson's centring leaves exactly d / 2, so the numerator and sums
+of squares on d are those on r times 4, and rho has the bits Pearson on
+float64 ranks gives. d is float32 while ``n * (n - 1)**2 <= 2**24`` (up
+to n = 256) and float64 above, so every sum of n squares or products of
+d, at most n(n - 1)^2, is an exact integer whatever its order (in
+float64 up to n of about 2 x 10^5). ``quintile_overlaps`` gives, column
+by column, the share of each rank block that two score matrices put in
+the same block; on integer input its stable sort is a radix sort, over
+one byte where the input spans fewer than 256 values.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import ArgumentError, ConstantInputError, DegenerateError, \
 # every call, and its page faults cost about as much as the ranking.
 _RANK_BLOCK = 256
 
-# Levels an integer matrix may span for ``doubled_ranks`` to count rather
+# Levels an integer matrix may span for ``centred_ranks`` to count rather
 # than sort. A block's rank table then holds at most 256 x 1024 integers
 # (2 MiB); the K-subset sums of the agreement protocol span at most 121.
 _COUNT_LEVELS = 1024
@@ -68,33 +69,39 @@ def _paired(x, y):
     return x, y
 
 
-def column_ranks(x: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based, ties share the mean of their positions) of
-    every column of an n x m matrix, equal to ``rankdata(x, axis=0)``:
-    ``(d + n + 1) / 2`` of the doubled ranks d, in float64."""
-    ranks = np.add(doubled_ranks(x), len(x) + 1, dtype=np.float64)
-    ranks /= 2
-    return ranks
-
-
-def doubled_ranks(x: np.ndarray) -> np.ndarray:
-    """Doubled centred average ranks ``d = 2r - (n + 1)`` of every column
-    of an n x m matrix, where r is ``rankdata(x, axis=0)``: integers of
-    at most n - 1 in size, float32 while ``n * (n - 1)**2 <= 2**24``
-    (n <= 256) and float64 above. Integer input spanning fewer than
-    ``_COUNT_LEVELS`` values is counted (``_count_ranks``), any other
-    input sorted (``_rank_rows``)."""
+def centred_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Doubled centred ranks d of every column of an n x m matrix, with
+    r = ``rankdata(x, axis=0)``, and each column's sum of their squares
+    in float64. Integer input spanning fewer than ``_COUNT_LEVELS``
+    values is counted (``_count_ranks``), any other sorted
+    (``_rank_rows``)."""
     n, m = x.shape
     dtype = np.float32 if n * (n - 1) ** 2 <= 2 ** 24 else np.float64
-    if np.can_cast(x.dtype, np.intp) and x.size:
-        low = int(x.min())
-        if int(x.max()) - low < _COUNT_LEVELS:
-            return _count_ranks(x, low, dtype)
-    d = np.empty((m, n), dtype)
-    for lo in range(0, m, _RANK_BLOCK):
-        rows = np.ascontiguousarray(x[:, lo:lo + _RANK_BLOCK].T)
-        _rank_rows(rows, out=d[lo:lo + _RANK_BLOCK])
-    return d.T
+    low = int(x.min()) if np.can_cast(x.dtype, np.intp) and x.size else None
+    if low is not None and int(x.max()) - low < _COUNT_LEVELS:
+        d = _count_ranks(x, low, dtype)
+    else:
+        d = np.empty((m, n), dtype)
+        for lo in range(0, m, _RANK_BLOCK):
+            rows = np.ascontiguousarray(x[:, lo:lo + _RANK_BLOCK].T)
+            _rank_rows(rows, out=d[lo:lo + _RANK_BLOCK])
+        d = d.T
+    return d, np.einsum("ij,ij->j", d, d).astype(np.float64)
+
+
+def ranked_spearman(
+    a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """Spearman rho per column from two ``centred_ranks`` results;
+    columns with a constant side come back NaN."""
+    (da, ssa), (db, ssb) = a, b
+    denom = np.sqrt(ssa * ssb)
+    # an exact integer sum in either dtype, without building the pairs x
+    # subsets product matrix
+    num = np.einsum("ij,ij->j", da, db).astype(np.float64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho = np.where(denom > 0, num / np.maximum(denom, 1e-300), np.nan)
+    return np.clip(rho, -1.0, 1.0)
 
 
 def _count_ranks(x: np.ndarray, low: int, dtype) -> np.ndarray:
@@ -160,9 +167,15 @@ def pearson(x, y) -> float:
 
 
 def spearman(x, y) -> float:
+    """``ranked_spearman`` of the two vectors as one-column matrices."""
     x, y = _paired(x, y)
-    rx, ry = column_ranks(np.column_stack((x, y))).T
-    return pearson(rx, ry)
+    rho, = ranked_spearman(centred_ranks(x[:, None]),
+                           centred_ranks(y[:, None]))
+    if np.isnan(rho):
+        raise ConstantInputError(
+            "correlation undefined: at least one input is constant"
+        )
+    return float(rho)
 
 
 def kendall_tau_b(x, y) -> float:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from vsmeval.agreement import EvaluationSet
 from vsmeval.bow import CountMatrix
 from vsmeval.scoring import WordPairList
+from vsmeval.stats import centred_ranks
 
 
 # characters a line reader treats specially: the tab, the line breaks \n
@@ -42,6 +43,13 @@ def integer_matrix(seed, n, m, levels, constant_share, span=121, low=0):
     constant = r.random(m) < constant_share
     x[:, constant] = x[0, constant]
     return x
+
+
+def average_ranks(x):
+    """Average ranks of the columns of ``x``, ``(d + n + 1) / 2`` in
+    float64 of the doubled centred ranks d of ``stats.centred_ranks``."""
+    d, _ = centred_ranks(x)
+    return np.add(d, len(x) + 1, dtype=np.float64) / 2
 
 
 def _rescale_to_range(scores, lo=0.0, hi=10.0):

@@ -12,8 +12,6 @@ from scipy.stats import rankdata
 from vsmeval import agreement
 from vsmeval.agreement import (
     EvaluationSet,
-    _centred_ranks,
-    _ranked_spearman,
     apply_outlier_filter,
     agreement_significance,
     cross_language_agreement,
@@ -29,15 +27,16 @@ from vsmeval.agreement import (
 from vsmeval.errors import (
     AlignmentError,
     ArgumentError,
+    DegenerateError,
     FormatError,
     ValidationError,
 )
 from vsmeval.scoring import WordPairList
-from vsmeval.stats import (column_ranks, doubled_ranks, quintile_overlaps,
+from vsmeval.stats import (centred_ranks, quintile_overlaps, ranked_spearman,
                            spearman)
 
-from conftest import (LINE_READER_CHARACTERS, integer_matrix, make_evalset,
-                      synthetic_languages)
+from conftest import (LINE_READER_CHARACTERS, average_ranks, integer_matrix,
+                      make_evalset, synthetic_languages)
 from oracles import (centred_ranks_reference, outlier_statistics_bruteforce,
                      ranked_spearman_reference, spearman_bruteforce)
 
@@ -178,7 +177,7 @@ class TestColumnRanks:
             x = r.integers(0, levels, size=(n, m)) / step
         constant = r.random(m) < constant_share
         x[:, constant] = x[0, constant]
-        ranks = column_ranks(x)
+        ranks = average_ranks(x)
         expected = rankdata(x, axis=0)
         assert ranks.dtype == expected.dtype
         assert np.array_equal(ranks, expected)
@@ -200,7 +199,7 @@ _RANK_PATHS = st.sampled_from(["count", "sort-ties", "sort-wide"])
 
 
 class TestDoubledRanks:
-    """``stats.doubled_ranks``, the agreement walk's rank kernel, against
+    """``stats.centred_ranks``, the agreement walk's rank kernel, against
     rankdata on its counting and sort paths, on both sides of its switch
     from float32 to float64 above n = 256."""
 
@@ -216,13 +215,14 @@ class TestDoubledRanks:
     def test_equals_doubled_rankdata(self, n, m, path, levels,
                                      constant_share, seed):
         x = _rank_input(seed, n, m, path, levels, constant_share)
-        d = doubled_ranks(x)
+        d, squares = centred_ranks(x)
         assert d.dtype == (np.float32 if n <= 256 else np.float64)
         assert np.array_equal(d, 2 * rankdata(x, axis=0) - (n + 1))
         # every sum of squares is an exact integer in d's own dtype
         exact = d.astype(np.int64)
         assert np.array_equal(np.einsum("ij,ij->j", d, d),
                               np.einsum("ij,ij->j", exact, exact))
+        assert np.array_equal(squares, np.einsum("ij,ij->j", exact, exact))
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 300), m=st.integers(1, 200), path=_RANK_PATHS,
@@ -238,11 +238,11 @@ class TestDoubledRanks:
         # half-integer ranks; constant columns stay NaN
         a, b = (_rank_input(seed + side, n, m, path, levels, constant_share)
                 for side in (0, 1))
-        got_a, got_b = _centred_ranks(a), _centred_ranks(b)
+        got_a, got_b = centred_ranks(a), centred_ranks(b)
         ref_a, ref_b = centred_ranks_reference(a), centred_ranks_reference(b)
         assert got_a[1].dtype == np.float64
         assert np.array_equal(got_a[1], 4 * ref_a[1])
-        rho = _ranked_spearman(got_a, got_b)
+        rho = ranked_spearman(got_a, got_b)
         expected = ranked_spearman_reference(ref_a, ref_b)
         assert np.array_equal(rho.view(np.int64), expected.view(np.int64))
 
@@ -360,7 +360,7 @@ class TestDegenerateSamples:
         b = rng.uniform(0, 10, size=(20, 4))
         a[:, 1] = 3.0
         b[:, 2] = 7.0
-        rho = _ranked_spearman(_centred_ranks(a), _centred_ranks(b))
+        rho = ranked_spearman(centred_ranks(a), centred_ranks(b))
         assert np.isnan(rho[[1, 2]]).all()
         assert np.isfinite(rho[[0, 3]]).all()
 
@@ -394,6 +394,25 @@ class TestDegenerateSamples:
         significance_driver([constant, varied])
         # within counts the constant complement too; cross compares subsets
         assert seen == {"within:en": 16, "within:de": 0, "cross:en-de": 14}
+
+    def test_report_without_a_sample_refuses_its_statistics(self):
+        # every annotator gives every pair 5: all 1716 splits are constant
+        constant = make_evalset(np.full((10, 13), 5.0), language="en")
+        varied = make_evalset(
+            np.random.default_rng(3).uniform(0, 10, size=(10, 13)),
+            language="de")
+        empty = within_language_agreement(constant)
+        assert empty.sample_count == 0 and empty.degenerate_count == 1716
+        message = "within:en has no samples: all 1716 splits are degenerate"
+        for statistic in (lambda: empty.mean, lambda: empty.std,
+                          lambda: agreement_significance(
+                              empty, cross_language_agreement(varied,
+                                                              varied))):
+            with pytest.raises(DegenerateError) as refused:
+                statistic()
+            assert str(refused.value) == message
+        with pytest.raises(DegenerateError):
+            significance_driver([constant, varied])
 
 
 class TestCrossAgreement:
@@ -659,8 +678,8 @@ class TestIntegerJudgments:
                  s.scores[list(batch)] @ (1 - member).T / (13 - K))
                 for s in sets)
             for mode, b in (("within", comp), ("cross", other)):
-                rhos[mode].append(_ranked_spearman(_centred_ranks(sub),
-                                                   _centred_ranks(b)))
+                rhos[mode].append(ranked_spearman(centred_ranks(sub),
+                                                  centred_ranks(b)))
                 f_sums[mode] += quintile_overlaps(sub, b, q).sum(axis=1)
             count += sub.shape[1]
         reference = {}
@@ -700,8 +719,8 @@ class TestIntegerJudgments:
                 return kernel(*matrices, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(agreement, "doubled_ranks",
-                            spy(agreement.doubled_ranks))
+        monkeypatch.setattr(agreement, "centred_ranks",
+                            spy(agreement.centred_ranks))
         monkeypatch.setattr(agreement, "quintile_overlaps",
                             spy(agreement.quintile_overlaps))
         integral, _ = self._sets(rng)

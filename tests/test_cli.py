@@ -696,6 +696,50 @@ def test_two_outputs_on_one_path_exit_2_before_any_write(workspace, capsys,
     assert not (workspace / "c.txt").exists()
 
 
+@pytest.mark.parametrize("make_argv, option", [
+    (lambda ws, out, bad: ["agree", "--mode", "within", "--evalset",
+                           f"en={ws / 'evalset.tsv'}", "--out", out,
+                           "--samples-out", bad], "--samples-out"),
+    (lambda ws, out, bad: ["qc", "--scores", str(ws / "evalset.tsv"),
+                           "--out", out, "--log", bad], "--log"),
+    (lambda ws, out, bad: _cca_argv(ws, "--model-out", bad), "--model-out"),
+], ids=["agree", "qc", "combine-cca"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_path_exit_2_before_any_write(
+        workspace, capsys, make_argv, option, where):
+    # the refusal comes before any input is read, so --out is not left
+    # behind by a later write into the bad path
+    out = workspace / "c.txt"
+    if where == "directory":
+        bad = workspace
+        message = f"{option} names a directory: {bad}"
+    else:
+        bad = workspace / "nodir" / "x.tsv"
+        message = (f"{option} names a file in a directory that does not "
+                   f"exist: {bad}")
+    assert main(make_argv(workspace, str(out), str(bad))) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["within", "cross"])
+def test_agreement_without_a_defined_sample_exit_4_before_any_write(
+        tmp_path, capsys, mode):
+    # every annotator gives every pair 5: every split is constant
+    out, samples = tmp_path / "a.tsv", tmp_path / "a.samples"
+    argv = ["agree", "--mode", mode, "--out", str(out),
+            "--samples-out", str(samples)]
+    for lang in ("en", "de")[:1 if mode == "within" else 2]:
+        path = tmp_path / f"{lang}.tsv"
+        save_evaluation_set(make_evalset(np.full((10, 13), 5.0)), path)
+        argv += ["--evalset", f"{lang}={path}"]
+    assert main(argv) == 4
+    label = "within:en" if mode == "within" else "cross:en-de"
+    assert capsys.readouterr().err == (
+        f"error: {label} has no samples: all 1716 splits are degenerate\n")
+    assert not out.exists() and not samples.exists()
+
+
 @pytest.mark.parametrize("entry, noun", [
     ("significance_driver", "evaluation set"),
     ("coverage", "vector table"),

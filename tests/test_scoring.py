@@ -7,13 +7,14 @@ from vsmeval.scoring import (
     ScoreVector,
     WordPairList,
     cosine,
+    read_pair_list,
     read_scores,
     score_pairs,
     write_scores,
 )
-from vsmeval.stats import column_ranks
 from vsmeval.vectors import VectorTable
 
+from conftest import average_ranks
 from oracles import average_ranks_bruteforce
 
 
@@ -120,9 +121,9 @@ def test_degenerate_pairs_flagged():
 
 
 def _descending_ranks(values):
-    """Average ranks of scores by ``stats.column_ranks``, rank 1 for the
+    """Average ranks of scores by ``stats.centred_ranks``, rank 1 for the
     highest score."""
-    return column_ranks(-np.asarray(values, dtype=float)[:, None])[:, 0]
+    return average_ranks(-np.asarray(values, dtype=float)[:, None])[:, 0]
 
 
 def test_rank_simple():
@@ -234,3 +235,16 @@ def test_read_scores_refuses_a_header_after_the_first_pair(tmp_path):
         read_scores(path)
     assert str(info.value) == \
         f"non-numeric pair index or score [{path}:4]"
+
+
+def test_read_scores_skips_only_a_pair_index_header(tmp_path):
+    # a first cell that merely starts with pair_index is data, refused as
+    # read_pair_list refuses it
+    path = tmp_path / "scores.tsv"
+    path.write_text("pair_indexes\tword1\tword2\tscore\n0\tcat\tdog\t0.5\n")
+    with pytest.raises(FormatError) as info:
+        read_scores(path)
+    assert str(info.value) == f"non-numeric pair index or score [{path}:1]"
+    with pytest.raises(FormatError) as info:
+        read_pair_list(path)
+    assert str(info.value) == f"non-integer pair index [{path}:1]"

@@ -13,7 +13,6 @@ from vsmeval.errors import (
 )
 from vsmeval import stats
 from vsmeval.stats import (
-    column_ranks,
     kendall_tau_b,
     pearson,
     quintile_block_sizes,
@@ -24,7 +23,7 @@ from vsmeval.stats import (
     welch_t_test,
 )
 
-from conftest import integer_matrix
+from conftest import average_ranks, integer_matrix
 from oracles import (
     kendall_tau_b_bruteforce,
     pearson_formula,
@@ -100,6 +99,37 @@ class TestSpearman:
                 continue
             assert ours == pearson(scipy.stats.rankdata(x),
                                    scipy.stats.rankdata(y))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 600),
+           kinds=st.tuples(*[st.sampled_from(["ties", "rounded", "gaussian",
+                                              "constant"])] * 2),
+           seed=st.integers(0, 2**32 - 1))
+    # the largest n whose doubled ranks are float32, and the smallest above
+    @example(n=256, kinds=("ties", "gaussian"), seed=0)
+    @example(n=257, kinds=("ties", "gaussian"), seed=0)
+    @example(n=256, kinds=("ties", "ties"), seed=1)
+    @example(n=257, kinds=("rounded", "ties"), seed=1)
+    @example(n=257, kinds=("gaussian", "constant"), seed=2)
+    def test_has_the_bits_of_pearson_of_rankdata(self, n, kinds, seed):
+        # on both sides of the float32 / float64 switch of centred_ranks;
+        # a constant side raises where pearson raises
+        r = np.random.default_rng(seed)
+        x, y = ({"ties": lambda: _random_tied(r, n),
+                 "rounded": lambda: r.normal(size=n).round(1),
+                 "gaussian": lambda: r.normal(size=n),
+                 "constant": lambda: np.full(n, 0.5)}[kind]()
+                for kind in kinds)
+        try:
+            expected = pearson(scipy.stats.rankdata(x),
+                               scipy.stats.rankdata(y))
+        except ConstantInputError:
+            with pytest.raises(ConstantInputError):
+                spearman(x, y)
+            return
+        assert "constant" not in kinds
+        assert np.float64(spearman(x, y)).tobytes() == \
+            np.float64(expected).tobytes()
 
 
 @pytest.mark.parametrize("correlation", [pearson, spearman, kendall_tau_b])
@@ -306,7 +336,7 @@ class TestIntegerKeys:
     def test_counting_ranks_equal_rankdata(self, n, m, levels, low,
                                            constant_share, seed):
         x = integer_matrix(seed, n, m, levels, constant_share, low=low)
-        ranks = column_ranks(x)
+        ranks = average_ranks(x)
         expected = scipy.stats.rankdata(x.astype(float), axis=0)
         assert ranks.dtype == expected.dtype == np.float64
         assert np.array_equal(ranks, expected)
@@ -316,7 +346,7 @@ class TestIntegerKeys:
         x = rng.integers(-5, 5, size=(30, 300)) * stats._COUNT_LEVELS
         assert np.ptp(x) >= stats._COUNT_LEVELS
         expected = scipy.stats.rankdata(x.astype(float), axis=0)
-        assert np.array_equal(column_ranks(x), expected)
+        assert np.array_equal(average_ranks(x), expected)
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(7, 60), m=st.integers(1, 600), q=st.integers(2, 7),
