@@ -12,7 +12,7 @@ import os
 import sys
 from itertools import chain
 
-from . import __version__
+from . import __version__, floattext
 from .agreement import (
     apply_outlier_filter,
     cross_language_agreement,
@@ -198,7 +198,7 @@ def cmd_agree(args) -> int:
                 manifest)
     if args.samples_out:
         write_lines(args.samples_out,
-                    chain(["rho"], map(repr, report.samples.tolist())),
+                    chain(["rho"], floattext.lines(report.samples[:, None])),
                     manifest)
     print(row)
     return 0

@@ -10,6 +10,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from . import floattext
 from .corpus import Corpus, sample_corpus
 from .errors import (
     AlignmentError,
@@ -317,10 +318,10 @@ def save_cca_model(model: CcaModel, path) -> None:
     eps = float(model.regularization)
     header = (f"{model.languages[0]} {model.languages[1]} "
               f"{d1} {d2} {model.n_components} {eps!r} 1")
-    vectors = chain((model.mean_1, model.mean_2, model.correlations),
-                    model.projection_1, model.projection_2)
-    rows = (" ".join(repr(float(v)) for v in vec) for vec in vectors)
-    write_lines(path, chain([header], rows))
+    blocks = (floattext.lines(np.atleast_2d(a)) for a in (
+        model.mean_1, model.mean_2, model.correlations,
+        model.projection_1, model.projection_2))
+    write_lines(path, chain([header], *blocks))
 
 
 def load_cca_model(path) -> CcaModel:

@@ -156,10 +156,15 @@ def write_scores(scores: ScoreVector, pairs: WordPairList, path,
                  header_lines=()) -> None:
     """TSV dump ``pair_index word1 word2 score``; skipped pairs appear as
     trailing ``#OOV`` comment lines. A non-finite score, a word holding
-    a tab or a line break, which ``read_scores`` refuses, and an OOV word
-    holding the ``,`` that joins them, which it would split, are refused
-    before the file is opened."""
+    a tab or a line break and a pair both scored and skipped, which
+    ``read_scores`` refuses, and an OOV word holding the ``,`` that joins
+    them or a skipped pair without a word, which it would read otherwise,
+    are refused before the file is opened."""
     word_of = dict(zip(pairs.source_ids, pairs.pairs))
+    both = scores.scores.keys() & scores.skipped.keys()
+    if both:
+        raise FormatError(f"pair {min(both)} is both scored and skipped",
+                          path=path)
     lines = ["pair_index\tword1\tword2\tscore"]
     for idx in sorted(scores.scores):
         w1, w2 = word_of.get(idx, ("?", "?"))
@@ -170,6 +175,9 @@ def write_scores(scores: ScoreVector, pairs: WordPairList, path,
     for idx in sorted(scores.skipped):
         w1, w2 = word_of.get(idx, ("?", "?"))
         check_cells((w1, w2, *scores.skipped[idx]), path)
+        if not scores.skipped[idx]:
+            raise FormatError(f"skipped pair {idx} names no missing word",
+                              path=path)
         for word in scores.skipped[idx]:
             if "," in word:
                 raise FormatError(f"OOV word {word!r} of pair {idx} holds "

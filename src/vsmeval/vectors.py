@@ -6,7 +6,8 @@ and the ``rows`` gather. PPMI, file IO and CCA all pass such matrices whole.
 
 The canonical on-disk representation is the word2vec text format: a
 header line ``<vocab_size> <dimension>`` followed by one ``word v1 ... vd``
-line per word, each float in its shortest round-tripping ``repr``.
+line per word, each float in its shortest round-tripping ``repr``, whose
+bytes ``floattext`` gives for many floats at once.
 ``load_vectors`` is one loop over the file's lines. A line in the
 spelling ``save_vectors`` writes (a word of any script, then printable
 ASCII cells, each after a single space) is parsed from the bytes of its
@@ -26,6 +27,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import floattext
 from .errors import ArgumentError, EmptyInputError, FormatError
 from .textfile import numeric, read_lines, write_lines
 
@@ -215,29 +217,41 @@ def _mostly_zero(cells: bytes, dimension: int) -> bool:
 
 def save_vectors(table: VectorTable, path) -> None:
     """Emit the word2vec text format; floats are written so that a reload
-    reproduces the table bit-for-bit."""
+    reproduces the table bit-for-bit. A table without a word, or with a
+    word ``load_vectors`` would split or a value it refuses, is refused
+    before the file is opened."""
     if len(table) == 0:
         raise EmptyInputError("refusing to save an empty vector table")
     for word in table.words:
         if word.split() != [word]:
             raise FormatError(f"word {word!r} is empty or contains "
                               "whitespace", path=path)
+    finite = np.isfinite(table.matrix).all(axis=1)
+    if not finite.all():
+        word = table.words[np.argmin(finite)]
+        raise FormatError(f"non-finite value in vector for {word!r}",
+                          path=path)
+    write_lines(path, chain([f"{len(table)} {table.dimension}"],
+                            _rows(table)))
+
+
+def _rows(table: VectorTable):
+    """Each word's line. A mostly zero row formats only its non-zeros;
+    the other rows are formatted in bulk."""
     nonzero = table.matrix != 0
     sparse = np.count_nonzero(nonzero, axis=1) * 2 < table.dimension
-    rows = (word + " " + " ".join(_sparse_cells(row, row_nonzero) if few
-                                  else map(repr, row.tolist()))
-            for word, row, row_nonzero, few in zip(table.words, table.matrix,
-                                                   nonzero, sparse))
-    write_lines(path, chain([f"{len(table)} {table.dimension}"], rows))
-
-
-def _sparse_cells(row: np.ndarray, nonzero: np.ndarray) -> list[str]:
-    """The ``repr`` of every cell of a mostly zero row, formatting only
-    its non-zeros."""
-    cells = ["0.0"] * len(row)
-    for j in np.flatnonzero(np.signbit(row) & ~nonzero).tolist():
-        cells[j] = "-0.0"
-    where = np.flatnonzero(nonzero)
-    for j, value in zip(where.tolist(), row[where].tolist()):
-        cells[j] = repr(value)
-    return cells
+    texts = iter(floattext.texts(table.matrix[nonzero & sparse[:, None]]))
+    dense = chain.from_iterable(
+        block.split("\n") for block in floattext.lines(
+            table.matrix[~sparse] if sparse.any() else table.matrix))
+    for word, row, row_nonzero, few in zip(table.words, table.matrix,
+                                           nonzero, sparse):
+        if not few:
+            yield word + " " + next(dense)
+            continue
+        cells = ["0.0"] * len(row)
+        for j in np.flatnonzero(np.signbit(row) & ~row_nonzero).tolist():
+            cells[j] = "-0.0"
+        for j in np.flatnonzero(row_nonzero).tolist():
+            cells[j] = next(texts)
+        yield word + " " + " ".join(cells)

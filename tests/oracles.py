@@ -12,7 +12,8 @@ matrix with every cell's log taken. ``outlier_statistics_bruteforce`` is
 the annotator outlier statistic as first written, one ``np.delete`` per
 column. ``centred_ranks_reference`` and ``ranked_spearman_reference`` are
 the agreement walk's Spearman as first written, on float64 half-integer
-centred ranks.
+centred ranks. ``save_vectors_reference`` is the vector writer as first
+written, one ``repr`` per cell.
 """
 
 import math
@@ -287,6 +288,33 @@ def load_vectors_linewise(path, language: str) -> VectorTable:
     matrix = np.array(list(vectors.values()), dtype=float)
     return VectorTable(language, tuple(vectors),
                        matrix.reshape(len(vectors), dimension))
+
+
+
+def save_vectors_reference(table: VectorTable, path) -> None:
+    """The word2vec text writer with one ``repr`` per cell: a mostly zero
+    row formats only its non-zeros, any other row ``map(repr, ...)``."""
+    nonzero = table.matrix != 0
+    sparse = np.count_nonzero(nonzero, axis=1) * 2 < table.dimension
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(table)} {table.dimension}\n")
+        for word, row, row_nonzero, few in zip(table.words, table.matrix,
+                                               nonzero, sparse):
+            cells = (_sparse_cells(row, row_nonzero) if few
+                     else map(repr, row.tolist()))
+            fh.write(word + " " + " ".join(cells) + "\n")
+
+
+def _sparse_cells(row: np.ndarray, nonzero: np.ndarray) -> list[str]:
+    """The ``repr`` of every cell of a mostly zero row, formatting only
+    its non-zeros."""
+    cells = ["0.0"] * len(row)
+    for j in np.flatnonzero(np.signbit(row) & ~nonzero).tolist():
+        cells[j] = "-0.0"
+    where = np.flatnonzero(nonzero)
+    for j, value in zip(where.tolist(), row[where].tolist()):
+        cells[j] = repr(value)
+    return cells
 
 
 _VOWELS = "aeiou"

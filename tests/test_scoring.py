@@ -1,8 +1,12 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from vsmeval.errors import ArgumentError, FormatError, WordLookupError
+from vsmeval.errors import (ArgumentError, FormatError, ValidationError,
+                            WordLookupError)
 from vsmeval.scoring import (
     ScoreVector,
     WordPairList,
@@ -176,6 +180,53 @@ def test_score_tsv_roundtrip(tmp_path):
     assert again.skipped == scores.skipped
 
 
+_SCORE_WORDS = st.text(st.characters(exclude_categories=("Cs",)),
+                       max_size=4) | st.sampled_from(
+    ["", "#OOV", "a,b", "c\td", "e\nf", "g\rh", "pair_index", " "])
+
+
+@st.composite
+def _score_files(draw):
+    """(scores, pairs): scored and skipped pair indices, which may share
+    an index, and words that may hold a separator."""
+    indices = st.integers(-2 ** 70, 2 ** 70)
+    scores = draw(st.dictionaries(indices, st.floats() | st.sampled_from(
+        [0.0, -0.0, 5e-324, -2.2250738585072014e-308]), max_size=6))
+    skipped = draw(st.dictionaries(
+        indices, st.lists(_SCORE_WORDS, max_size=3).map(tuple), max_size=4))
+    listed = draw(st.lists(st.sampled_from(sorted({*scores, *skipped, 0})),
+                           unique=True))
+    words = draw(st.lists(st.tuples(_SCORE_WORDS, _SCORE_WORDS),
+                          min_size=len(listed), max_size=len(listed)))
+    return ScoreVector(scores, skipped), WordPairList(tuple(words),
+                                                      tuple(listed))
+
+
+@settings(deadline=None)
+@given(_score_files())
+@example((ScoreVector({0: -0.0, 1: 5e-324}, skipped={2: ("x", "")}),
+          _pairlist([("a", "b"), ("c", "d"), ("x", "")])))
+@example((ScoreVector({0: 0.5}, skipped={0: ("a",)}), _pairlist([("a", "b")])))
+@example((ScoreVector({}, skipped={1: ()}), _pairlist([("a", "b")])))
+def test_score_file_roundtrip_property(case):
+    # every score comes back bit for bit and every #OOV row whole, or the
+    # writer refuses before the file is opened
+    scores, pairs = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scores.tsv")
+        try:
+            write_scores(scores, pairs, path)
+        except (FormatError, ValidationError):
+            assert not os.path.exists(path)
+            return
+        again = read_scores(path)
+    assert again.skipped == scores.skipped
+    assert again.scores.keys() == scores.scores.keys()
+    for index, value in scores.scores.items():
+        assert np.float64(again.scores[index]).tobytes() == \
+            np.float64(value).tobytes()
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                    -float("inf")])
 def test_write_scores_refuses_a_non_finite_score(tmp_path, value):
@@ -210,6 +261,27 @@ def test_write_scores_refuses_an_oov_word_with_a_comma(tmp_path):
         write_scores(ScoreVector({0: 0.5}, skipped={1: ("c", "a,b")}),
                      _pairlist([("a", "b"), ("c", "a,b")]), path)
     assert str(info.value) == f"OOV word 'a,b' of pair 1 holds ',' [{path}]"
+    assert not path.exists()
+
+
+def test_write_scores_refuses_a_pair_both_scored_and_skipped(tmp_path):
+    # read_scores refuses the repeated pair index
+    path = tmp_path / "scores.tsv"
+    with pytest.raises(FormatError) as info:
+        write_scores(ScoreVector({0: 0.5, 1: 0.25}, skipped={1: ("c",)}),
+                     _pairlist([("a", "b"), ("c", "d")]), path)
+    assert str(info.value) == f"pair 1 is both scored and skipped [{path}]"
+    assert not path.exists()
+
+
+def test_write_scores_refuses_a_skipped_pair_without_a_word(tmp_path):
+    # its empty word list would read back as one empty word
+    path = tmp_path / "scores.tsv"
+    with pytest.raises(FormatError) as info:
+        write_scores(ScoreVector({0: 0.5}, skipped={1: ()}),
+                     _pairlist([("a", "b"), ("c", "d")]), path)
+    assert str(info.value) == \
+        f"skipped pair 1 names no missing word [{path}]"
     assert not path.exists()
 
 

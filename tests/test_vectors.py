@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from vsmeval.errors import (AlignmentError, ArgumentError, EmptyInputError,
                             FormatError)
+from vsmeval.floattext import BLOCK
 from vsmeval.scoring import vocabulary_coverage, write_coverage
 from vsmeval.vectors import (
     VectorTable,
@@ -22,7 +23,7 @@ from vsmeval.vectors import (
 )
 
 from conftest import make_evalset
-from oracles import load_vectors_linewise
+from oracles import load_vectors_linewise, save_vectors_reference
 
 
 def _table(words, dim=3, language="en", rng=None):
@@ -114,6 +115,74 @@ def test_save_whitespace_word_refused(tmp_path):
     with pytest.raises(FormatError, match="'new york'"):
         save_vectors(table, path)
     assert not path.exists()
+
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_non_finite_value_refused_naming_its_word(tmp_path, bad):
+    # load_vectors refuses the cell, so the file would not read back
+    table = VectorTable("en", ("a", "b", "c"),
+                        np.array([[1.0, 0.0], [bad, 0.0], [np.nan, 2.0]]))
+    path = tmp_path / "v.txt"
+    with pytest.raises(FormatError) as info:
+        save_vectors(table, path)
+    assert str(info.value) == f"non-finite value in vector for 'b' [{path}]"
+    assert not path.exists()
+
+
+_CELLS = st.one_of(
+    st.just(0.0), st.just(-0.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e6, 1e6, allow_nan=False).map(float.__round__),
+    st.sampled_from([5e-324, -1.5e-323, 2.2250738585072014e-308, 1e-310]),
+)
+
+
+@st.composite
+def _mixed_tables(draw):
+    """A matrix whose rows are dense, mostly zero or any mix."""
+    dim = draw(st.integers(0, 12))
+    row = st.one_of(
+        st.lists(_CELLS, min_size=dim, max_size=dim),
+        st.lists(st.one_of(st.just(0.0), st.just(0.0), st.just(0.0),
+                           _CELLS), min_size=dim, max_size=dim))
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    return np.array(rows, float).reshape(len(rows), dim)
+
+
+def _same_bytes_as_the_reference(matrix, tmp):
+    table = VectorTable("en", tuple(f"w{i}" for i in range(len(matrix))),
+                        matrix)
+    path = os.path.join(tmp, "v.txt")
+    want = os.path.join(tmp, "want.txt")
+    save_vectors(table, path)
+    save_vectors_reference(table, want)
+    with open(path, "rb") as got, open(want, "rb") as ref:
+        assert got.read() == ref.read()
+
+
+@settings(deadline=None)
+@given(_mixed_tables())
+@example(np.array([[0.0, -0.0, 1.0], [2.0, -0.0, 5e-324]]))
+def test_save_writes_the_reference_bytes_property(matrix):
+    # dense rows in bulk, mostly zero rows cell by cell, in file order
+    with tempfile.TemporaryDirectory() as tmp:
+        _same_bytes_as_the_reference(matrix, tmp)
+
+
+@pytest.mark.parametrize("rows, dim", [
+    (BLOCK // 100 - 1, 100), (BLOCK // 100, 100), (BLOCK // 100 + 1, 100),
+    (2 * (BLOCK // 100) + 1, 100), (2, BLOCK - 1), (2, BLOCK + 1),
+])
+def test_save_writes_the_reference_bytes_across_blocks(tmp_path, rows, dim):
+    # a row a block either side of a block boundary, and a cell either
+    # side; every third row mostly zero
+    rng = np.random.default_rng(rows * dim)
+    matrix = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(
+        -6, 6, (rows, dim))
+    matrix[::3, 1:] = 0.0
+    matrix[::5, ::4] = -0.0
+    _same_bytes_as_the_reference(matrix, tmp_path)
 
 
 _WORDS = st.text(st.characters(exclude_categories=("Cs",)), min_size=1) \
