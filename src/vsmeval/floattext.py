@@ -3,24 +3,25 @@ float64 array, without a Python float per value.
 
 Digits come from Schubfach (Giulietti 2020, "The Schubfach way to render
 doubles"), ported from Java's ``DoubleToDecimal`` in uint64 arithmetic:
-``_rop`` forms its 128-bit products from 32-bit limbs and follows Java's
-``rop`` bit for bit. Two changes give CPython's shortest digits, where
-Java keeps at least two: the one-digit-shorter candidates are tried from
-``s >= 10`` (``5e-324``, ``1e+23``), and the subnormals below ``3 * 2**-1074``,
-scaled by ten, take the exponent correction on both returns. The digits
-then lose their trailing zeros.
+``_product`` forms the 128-bit products from 32-bit limbs, and ``_rop``
+follows Java's ``rop`` bit for bit. Two changes give CPython's shortest
+digits, where Java keeps at least two: the one-digit-shorter candidates
+are tried from ``s >= 10`` (``5e-324``, ``1e+23``), and the subnormals
+below ``3 * 2**-1074``, scaled by ten, take the exponent correction on
+both returns. The digits then lose their trailing zeros.
 
-The layout is CPython's ``'r'``: fixed notation when the decimal point
-falls ``-4 < decpt <= 16`` places after the first digit, ``.0`` after an
-integer, otherwise ``d.ddde±XX`` with at least two exponent digits; zeros
-keep their sign. Each value is laid out in one row of ``_WIDTH`` bytes
-that holds every byte it may need, and a row of a small keep table, chosen
-by its digit count and point position, selects its text.
+The layout is CPython's ``'r'``: fixed notation for decimal exponents
+from -4 to 15, ``.0`` after an integer, otherwise ``d.ddde±XX`` with at
+least two exponent digits; zeros keep their sign. Each value gets one
+row of ``_WIDTH`` bytes from a small table of layouts, chosen by its
+digit count and exponent: the layout's own bytes, zeros where it keeps
+nothing, and the value's sign, digits and exponent masked in. Deleting
+the zeros leaves the text.
 
-Every array of one kind (``np.uint64`` or ``np.int64``) is combined only
-with arrays and scalars of that kind, so numpy 1.x's promotion rules give
-the same types as numpy 2's. The tables are built on first use.
-"""
+uint64 arrays meet only uint64 arrays, ``np.uint64`` scalars and
+booleans, and int64 arrays only integer arrays and Python ints, so
+numpy 1.x's value-based promotion should give the types numpy 2 gives;
+only numpy 2 has been run. The tables are built on first use."""
 
 from functools import cache
 
@@ -38,7 +39,7 @@ _K_MIN, _K_MAX = -324, 292
 # by a point, the "0" of "x.0", and "e", the exponent's sign and 3 digits,
 # then the separator that follows the value.
 _SIGN, _LEAD, _DIGITS, _POINT0 = 0, 1, 6, 7
-_TRAIL, _E, _ESIGN, _EXP, _SEP = 40, 41, 42, 43, 46
+_TRAIL, _E, _ESIGN, _SEP = 40, 41, 42, 46
 _WIDTH = 47
 _FIXED_DECPT = range(-3, 17)  # fixed notation; decpt = exponent + 1
 
@@ -97,12 +98,22 @@ def _tables():
             row[[_E, _ESIGN]] = True
             row[_SEP - exp_digits:_SEP] = True
 
-    template = np.zeros(_WIDTH, np.uint8)
-    template[:] = ord("0")
-    template[[_SIGN, _LEAD + 1, _E, _SEP]] = np.frombuffer(b"-.e ", np.uint8)
+    # each layout's row: the bytes it keeps, 0xff where a value's own
+    # bytes go (sign, digits, exponent), 0 where it keeps nothing
+    template = np.full(_WIDTH, 0xFF, np.uint8)
+    template[_LEAD:_DIGITS] = np.frombuffer(b"0.000", np.uint8)
     template[_POINT0:_TRAIL:2] = ord(".")
+    template[[_TRAIL, _E, _SEP]] = np.frombuffer(b"0e ", np.uint8)
+    layouts = (keep * template).reshape(-1, _WIDTH)
+
+    # the exponent's sign and three digits, at the exponent + 400
+    exponents = np.arange(-400, 401)
+    exponents = np.concatenate(
+        [np.where(exponents < 0, ord("-"), ord("+"))[:, None],
+         (np.abs(exponents)[:, None] // np.array([100, 10, 1])) % 10 + 48],
+        axis=1).astype(np.uint8).view(np.uint32).ravel()
     powers = np.array([10 ** i for i in range(19)], np.uint64)
-    return limbs, digits4, last, keep.reshape(-1, _WIDTH), template, powers
+    return limbs, digits4, last, exponents, layouts, powers
 
 
 def _product(a, a0, a1, c0, c1, c):
@@ -176,9 +187,9 @@ def _shortest(bits, tables):
 
 
 def _cells(x: np.ndarray, tables) -> np.ndarray:
-    """The ``_WIDTH``-byte rows of the finite values ``x``: each row holds
-    its value's text, then a space, among zero bytes."""
-    limbs, digits4, last, keep_rows, template, powers = tables
+    """The ``_WIDTH``-byte rows of the finite values ``x``: each holds its
+    value's text, then a space, among zero bytes."""
+    limbs, digits4, last, exponents, layouts, powers = tables
     bits = x.view(np.uint64)
     if (bits & _U(0x7FF << 52)).all():  # all normal: 16 or 17 digits
         f, e = _shortest(bits, tables)
@@ -193,31 +204,24 @@ def _cells(x: np.ndarray, tables) -> np.ndarray:
     # the 17 digits of f, left aligned: one, then four groups of four
     aligned = f * powers[17 - length]
     top = aligned // _U(10 ** 16)
-    rest = aligned - top * _U(10 ** 16)
-    high = rest // _U(10 ** 8)
-    low = rest - high * _U(10 ** 8)
-    groups = np.stack((high // _U(10_000), high % _U(10_000),
-                       low // _U(10_000), low % _U(10_000))).astype(np.intp)
-    rows = np.empty((len(x), _WIDTH), np.uint8)
-    rows[:] = template
-    digits = rows[:, _DIGITS:_TRAIL:2]
-    digits[:, 0] = top.astype(np.uint8) + 48
-    digits[:, 1:] = digits4.take(groups.T).view(np.uint8)
-    # f is 0 or its first digit is not
+    rest = (aligned - top * _U(10 ** 16)).astype(np.int64)
+    groups = np.empty((4, len(x)), np.intp)
+    np.divmod(rest // 10 ** 8, 10_000, out=(groups[0], groups[1]))
+    np.divmod(rest % 10 ** 8, 10_000, out=(groups[2], groups[3]))
+    # a zero, whose digits are all 0, keeps one
     significant = np.maximum(
         last.take(groups + np.arange(0, 40_000, 10_000)[:, None]).max(axis=0),
         1)
-    exponent = decpt - 1
-    # the sign overwrites the first of the exponent's four digits
-    rows[:, _ESIGN:_SEP] = digits4.take(np.abs(exponent))[:, None].view(
-        np.uint8)
-    rows[:, _ESIGN] = np.where(exponent < 0, ord("-"), ord("+"))
-    rows[:, _SIGN] = np.signbit(x) * np.uint8(ord("-"))
     fixed = (decpt >= _FIXED_DECPT[0]) & (decpt <= _FIXED_DECPT[-1])
     layout = np.where(fixed, decpt - _FIXED_DECPT[0],
-                      len(_FIXED_DECPT) + (np.abs(exponent) >= 100))
-    np.multiply(rows, keep_rows.take(layout * 17 + significant - 1, axis=0),
-                out=rows)
+                      len(_FIXED_DECPT) + (np.abs(decpt - 1) >= 100))
+    rows = layouts.take(layout * 17 + significant - 1, axis=0)
+    digits = rows[:, _DIGITS:_TRAIL:2]
+    digits[:, 0] &= top.astype(np.uint8) + np.uint8(48)
+    digits[:, 1:] &= digits4.take(groups.T).view(np.uint8)
+    rows[:, _ESIGN:_SEP] &= exponents.take(decpt - 1 + 400)[:, None].view(
+        np.uint8)
+    rows[:, _SIGN] = np.signbit(x) * np.uint8(ord("-"))
     return rows
 
 
