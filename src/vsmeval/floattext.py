@@ -170,6 +170,8 @@ def _shortest(bits, tables):
     x, y = (_product(g0, g0_lo, g0_hi, c0, c1, cp),
             _product(g1, g1_lo, g1_hi, c0, c1, cp))
     vb = _rop(x, y)
+    # out is folded into the bounds: 4u is in the rounding interval iff
+    # vbl <= 4u, and 4w iff 4w <= vbr
     right, left = h + _U(1), h + _U(1) - irregular
     vbl = _rop(_plus(x, g0, left, -1), _plus(y, g1, left, -1)) + out
     vbr = _rop(_plus(x, g0, right, 1), _plus(y, g1, right, 1)) - out
